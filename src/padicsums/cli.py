@@ -96,6 +96,8 @@ def parse_strategy(text: str, seed: int):
         return "exhaustive"
     m = re.match(r"^sample:(\d+)$", text)
     if m:
+        if int(m.group(1)) < 1:
+            raise ParseError(f"bad strategy {text!r}; sample:N needs N >= 1")
         return ("sample", int(m.group(1)), seed)
     raise ParseError(f"bad strategy {text!r}; expected 'exhaustive' or 'sample:N'")
 
@@ -171,7 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"max enumeration size (default ${BUDGET_ENV_VAR} or {DEFAULT_NAIVE_BUDGET})",
         )
         sp.add_argument("--seed", type=int, default=0, help="seed for sampling strategies")
-        sp.add_argument("--workers", type=int, default=1, help="worker threads")
+        sp.add_argument(
+            "--workers", type=int, default=1, help="accepted for compatibility; no effect"
+        )
         sp.add_argument("--out", help="output path (decay: prefix for .csv/.json)")
         sp.add_argument("--format", choices=["json", "csv"], default=None)
 

@@ -24,15 +24,13 @@ the test suite.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
+from .grid import IntPoly, tally
 from .padic import (
     INFINITY,
     PAdicRational,
@@ -41,7 +39,6 @@ from .padic import (
     Rational,
 )
 from .polymap import (
-    Exponent,
     Poly,
     PolyMap,
     RestrictedSeries,
@@ -54,8 +51,6 @@ from .polymap import (
     series_truncate,
     substitute_affine,
 )
-
-IntPoly = dict[Exponent, int]
 
 
 @dataclass
@@ -204,7 +199,7 @@ def _classify(g: IntPoly, n: int) -> str:
 
 
 def _collect_leaves(
-    g: IntPoly, level: int, n: int, p: int, depth: int = 0
+    g: IntPoly, level: int, n: int, p: int
 ) -> tuple[list[tuple[int, int]], PruneStats]:
     """DFS over cosets; returns the P1 leaves as (phase class, weight) pairs.
 
@@ -215,7 +210,7 @@ def _collect_leaves(
     zero = (0,) * n
     leaves: list[tuple[int, int]] = []
     stats = PruneStats()
-    stack: list[tuple[int, IntPoly]] = [(depth, g)]
+    stack: list[tuple[int, IntPoly]] = [(0, g)]
     while stack:
         k, poly = stack.pop()
         kind = _classify(poly, n)
@@ -243,84 +238,18 @@ def _leaves_to_counts(leaves: list[tuple[int, int]]) -> dict[int, int]:
     return counts
 
 
-def _recursive_counts(
-    g: IntPoly, level: int, n: int, p: int, workers: int
-) -> tuple[dict[int, int], PruneStats]:
-    if workers <= 1 or _classify(g, n) != "split":
-        leaves, stats = _collect_leaves(g, level, n, p)
-        return _leaves_to_counts(leaves), stats
-    # Parallelism splits the first digit layer; merging per-child results in
-    # digit order keeps the outcome identical for every worker count.
-    mod = p**level
-    stats = PruneStats(splits=1)
-    children = [
-        _shift_digit_mod(g, delta, p, mod)
-        for delta in itertools.product(range(p), repeat=n)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(lambda child: _collect_leaves(child, level, n, p, depth=1), children)
-        )
-    merged: list[tuple[int, int]] = []
-    for leaves, st in results:
-        merged.extend(leaves)
-        stats = stats + st
-    return _leaves_to_counts(merged), stats
-
-
 def _naive_counts(
     g: IntPoly, level: int, n: int, p: int, budget: int
 ) -> tuple[dict[int, int], PruneStats]:
     """Histogram counts of G(x) mod p**level over all residue tuples."""
-    mod = p**level
-    needed = mod**n
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-    if level == 0:
-        return {0: 1}, PruneStats(points=1)
-    if mod > 2**31:
-        # int64 products would overflow; fall back to exact big-int loops
-        counts: dict[int, int] = {}
-        for x in itertools.product(range(mod), repeat=n):
-            val = 0
-            for exp, c in g.items():
-                term = c
-                for xi, e in zip(x, exp):
-                    if e:
-                        term = term * pow(xi, e, mod) % mod
-                val = (val + term) % mod
-            counts[val] = counts.get(val, 0) + 1
-        return counts, PruneStats(points=needed)
-    base = np.arange(mod, dtype=np.int64)
-    powers = []
-    max_e = [max((exp[i] for exp in g), default=0) for i in range(n)]
-    for i in range(n):
-        tab = [np.ones(mod, dtype=np.int64)]
-        for _ in range(max_e[i]):
-            tab.append(tab[-1] * base % mod)
-        powers.append(tab)
-    shape = tuple([mod] * n)
-    acc = np.zeros(shape, dtype=np.int64)
-    for exp, c in g.items():
-        term = None
-        for i, e in enumerate(exp):
-            if e == 0:
-                continue
-            arr = powers[i][e].reshape([-1 if j == i else 1 for j in range(n)])
-            term = arr if term is None else term * arr % mod
-        if term is None:
-            acc = (acc + c) % mod
-        else:
-            acc = (acc + c * term) % mod
-    counts = np.bincount(acc.ravel(), minlength=0)
-    nz = np.flatnonzero(counts)
-    return {int(k): int(counts[k]) for k in nz}, PruneStats(points=needed)
+    keys, counts = tally([g], p**level, n, budget)
+    return dict(zip(keys.tolist(), counts.tolist())), PruneStats(points=p ** (level * n))
 
 
 # ------------------------------------------------------------------ evaluators
 
 
-def _eval_terms(req: EvalRequest, method: str, workers: int) -> EvalResult:
+def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
     p = req.ctx.p
     n = req.f.n
     g = req.phase_poly()
@@ -332,7 +261,8 @@ def _eval_terms(req: EvalRequest, method: str, workers: int) -> EvalResult:
         if method == "naive":
             counts, st = _naive_counts(gint, m_eff, n, p, req.ctx.naive_budget)
         else:
-            counts, st = _recursive_counts(gint, m_eff, n, p, workers)
+            leaves, st = _collect_leaves(gint, m_eff, n, p)
+            counts = _leaves_to_counts(leaves)
         scale = ball.weight * Fraction(p) ** (-(ball.k + m_eff) * n)
         total = total + PhaseHistogram(p, m_eff, counts, scale)
         stats = stats + st
@@ -344,15 +274,18 @@ def eval_naive(req: EvalRequest, workers: int = 1) -> EvalResult:
 
     Requires p**(M*n) <= ctx.naive_budget for the effective level M of every
     ball of phi (after the affine substitution into the unit polydisc).
-    The result is independent of ``workers``.
+    ``workers`` is accepted for compatibility and has no effect.
     """
-    del workers  # enumeration order never affects the tallied counts
-    return _eval_terms(req, "naive", 1)
+    return _eval_terms(req, "naive")
 
 
 def eval_recursive(req: EvalRequest, workers: int = 1) -> EvalResult:
-    """Exact value by pruned descent; no budget bound, depth <= level + B."""
-    return _eval_terms(req, "recursive", workers)
+    """Exact value by pruned descent; no budget bound, depth <= level + B.
+
+    ``workers`` is accepted for compatibility and has no effect: the descent
+    runs in one thread (threads gave no speed-up under the GIL).
+    """
+    return _eval_terms(req, "recursive")
 
 
 def eval_series(

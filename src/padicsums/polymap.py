@@ -23,16 +23,15 @@ Poly = dict[Exponent, Fraction]
 #: Largest exponent accepted by the parser (guards expansion blow-up).
 MAX_EXPONENT = 4096
 
+#: Deepest parenthesis nesting accepted by the parser (guards its recursion).
+MAX_NESTING = 100
+
 #: Degree bound up to which a series valuation floor is searched before the
 #: series is refused as not certified restricted.
 SERIES_DEGREE_CAP = 512
 
 
 # ----------------------------------------------------------- polynomial algebra
-
-
-def poly_zero() -> Poly:
-    return {}
 
 
 def poly_const(n: int, c: Rational) -> Poly:
@@ -411,6 +410,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.n = n
         self.i = 0
+        self.depth = 0
         self.length = len(text)
 
     def _peek(self):
@@ -496,8 +496,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r} (have x1..x{self.n})", pos)
             return poly_var(self.n, idx - 1)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             poly = self.expr()
             self._expect_op(")")
+            self.depth -= 1
             return poly
         raise ParseError(f"unexpected {'end of input' if kind is None else repr(val)}", pos)
 

@@ -21,9 +21,17 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
-from .expsum import EvalRequest, _classify, _shift_digit_mod, eval_naive
-from .padic import PhaseHistogram, PrimeContext, Rational, fractional_part, valuation
+from .errors import PreconditionError
+from .expsum import EvalRequest, _shift_digit_mod, eval_naive
+from .grid import INT64_KEYS_MAX, find_points, tally
+from .padic import (
+    PhaseHistogram,
+    PrimeContext,
+    Rational,
+    _int_valuation,
+    fractional_part,
+    valuation,
+)
 from .polymap import (
     PolyMap,
     coefficient_floor,
@@ -61,10 +69,24 @@ class DensityTable:
         when the map has integral coefficients (B = 0)."""
         return self.count(z) * self._density_scale()
 
+    def _density_exponent(self) -> int:
+        return self.level * self.r - (self.level + self.clear) * self.n
+
     def _density_scale(self) -> Fraction:
-        return Fraction(self.p) ** (
-            self.level * self.r - (self.level + self.clear) * self.n
-        )
+        return Fraction(self.p) ** self._density_exponent()
+
+    def _density_texts(self) -> dict[int, str]:
+        """str(F) for every count N in the table, computed in integers: the
+        powers of p shared by N and the scale's denominator cancel."""
+        p, e0 = self.p, self._density_exponent()
+        texts = {}
+        for count in set(self.counts.values()):
+            num, e = count, e0
+            while e < 0 and num % p == 0:
+                num //= p
+                e += 1
+            texts[count] = str(num * p**e) if e >= 0 else f"{num}/{p**-e}"
+        return texts
 
     def _key(self, z: Sequence[Rational]) -> FiberKey | None:
         """Canonical residue key of z mod p**level, or None when some
@@ -89,19 +111,19 @@ class DensityTable:
     def write_csv(self, out: TextIO) -> None:
         writer = csv.writer(out)
         writer.writerow([f"z_{i+1}" for i in range(self.r)] + ["N", "F"])
-        scale = self._density_scale()
-        for key, count in self.sorted_items():
-            writer.writerow([str(c) for c in key] + [count, str(count * scale)])
+        texts = self._density_texts()
+        # the csv module writes every non-string field with str()
+        writer.writerows(key + (count, texts[count]) for key, count in self.sorted_items())
 
     def to_json_dict(self) -> dict:
-        scale = self._density_scale()
+        texts = self._density_texts()
         return {
             "p": self.p,
             "level": self.level,
             "n": self.n,
             "r": self.r,
             "rows": [
-                {"z": [str(c) for c in key], "N": count, "F": str(count * scale)}
+                {"z": [str(c) for c in key], "N": count, "F": texts[count]}
                 for key, count in self.sorted_items()
             ],
         }
@@ -113,105 +135,106 @@ def _integerized_components(f: PolyMap, m: int, p: int):
     return b, mod, [poly_mod_int(comp, p, b, mod) for comp in f.components]
 
 
-def _decode_key(values: Sequence[int], clear: int, p: int) -> FiberKey:
-    if clear == 0:
-        return tuple(int(v) for v in values)
-    den = p**clear
-    return tuple(Fraction(int(v), den) for v in values)
+def _table(f: PolyMap, m: int, p: int, clear: int, keys, counts: list[int]) -> DensityTable:
+    """DensityTable from encoded keys (ascending) and their point counts."""
+    mod = p ** (m + clear)
+    keys = np.asarray(keys, dtype=np.int64 if mod**f.r <= INT64_KEYS_MAX else object)
+    columns = []
+    for _ in range(f.r):
+        columns.append(keys % mod)
+        keys = keys // mod
+    if clear:
+        den = p**clear
+        values = [[Fraction(v, den) for v in col.tolist()] for col in reversed(columns)]
+    else:
+        values = [col.tolist() for col in reversed(columns)]
+    return DensityTable(p, m, f.n, f.r, clear, dict(zip(zip(*values), counts)))
 
 
 def _count_naive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
-    p = ctx.p
-    n = f.n
-    b, mod, comps = _integerized_components(f, m, p)
-    needed = mod**n
-    if needed > ctx.naive_budget:
-        raise BudgetExceededError(needed, ctx.naive_budget)
-    if mod > 2**31 or mod ** f.r > 2**62:
-        values = _eval_grid_python(comps, mod, n)
-    else:
-        values = _eval_grid_numpy(comps, mod, n)
-    encoded = values[0]
-    for arr in values[1:]:
-        encoded = encoded * mod + arr
-    uniq, cnt = np.unique(np.asarray(encoded).ravel(), return_counts=True)
-    counts: dict[FiberKey, int] = {}
-    for enc, c in zip(uniq.tolist(), cnt.tolist()):
-        digits = []
-        for _ in range(f.r):
-            digits.append(enc % mod)
-            enc //= mod
-        counts[_decode_key(tuple(reversed(digits)), b, p)] = int(c)
-    return DensityTable(p, m, n, f.r, b, counts)
+    b, mod, comps = _integerized_components(f, m, ctx.p)
+    keys, counts = tally(comps, mod, f.n, ctx.naive_budget)
+    return _table(f, m, ctx.p, b, keys, counts.tolist())
 
 
-def _eval_grid_numpy(comps, mod: int, n: int):
-    base = np.arange(mod, dtype=np.int64)
-    max_e = [
-        max((exp[i] for comp in comps for exp in comp), default=0) for i in range(n)
-    ]
-    powers = []
-    for i in range(n):
-        tab = [np.ones(mod, dtype=np.int64)]
-        for _ in range(max_e[i]):
-            tab.append(tab[-1] * base % mod)
-        powers.append(tab)
-    shape = tuple([mod] * n)
-    out = []
-    for comp in comps:
-        acc = np.zeros(shape, dtype=np.int64)
-        for exp, c in comp.items():
-            term = None
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                arr = powers[i][e].reshape([-1 if j == i else 1 for j in range(n)])
-                term = arr if term is None else term * arr % mod
-            acc = (acc + c) % mod if term is None else (acc + c * term) % mod
-        out.append(acc)
-    return out
+def _hensel_box(polys, n: int, p: int, level: int) -> list[int] | None:
+    """Box exponents lambda_j of a coset whose image is a box, or None.
+
+    ``polys`` are the components on the coset, as polynomials in the coset
+    coordinate t, reduced mod p**level.  A component is constant mod
+    p**level (lambda_j = level), or its nonlinear coefficients all lie
+    deeper than lambda_j, the least valuation of its linear ones.  When the
+    linear rows of the nonconstant components, divided by p**lambda_j, are
+    also independent mod p, (g_j - g_j(0)) / p**lambda_j is a submersion of
+    Z_p^n with unit Jacobian minors (Hensel), which carries Haar measure onto
+    Haar measure: the coset covers the box prod_j (g_j(0) + p**lambda_j Z)
+    mod p**level uniformly.
+    """
+    lams = []
+    rows = []
+    for g in polys:
+        linear = nonlinear = level
+        row = [0] * n
+        for exp, c in g.items():
+            degree = sum(exp)
+            if degree == 1:
+                row[exp.index(1)] = c
+                linear = min(linear, _int_valuation(c, p))
+            elif degree > 1:
+                nonlinear = min(nonlinear, _int_valuation(c, p))
+        if nonlinear <= linear < level or linear == level > nonlinear:
+            return None
+        lams.append(linear)
+        if linear < level:
+            rows.append([c // p**linear % p for c in row])
+    return lams if _independent_mod_p(rows, p) else None
 
 
-def _eval_grid_python(comps, mod: int, n: int):
-    points = list(itertools.product(range(mod), repeat=n))
-    out = []
-    for comp in comps:
-        vals = []
-        for x in points:
-            total = 0
-            for exp, c in comp.items():
-                term = c
-                for xi, e in zip(x, exp):
-                    if e:
-                        term = term * pow(xi, e, mod) % mod
-                total = (total + term) % mod
-            vals.append(total)
-        out.append(np.array(vals, dtype=object))
-    return out
+def _independent_mod_p(rows: list[list[int]], p: int) -> bool:
+    """Whether the rows are linearly independent over F_p (elimination)."""
+    rows = [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        pivot = next((j for j, v in enumerate(row) if v), None)
+        if pivot is None:
+            return False
+        inv = pow(row[pivot], -1, p)
+        for other in rows[i + 1 :]:
+            factor = other[pivot] * inv % p
+            if factor:
+                other[:] = [(a - factor * b) % p for a, b in zip(other, row)]
+    return True
 
 
 def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
-    """Coset descent: a coset is resolved once every component is constant
-    mod p**m on it, contributing its size to that constant's fiber."""
+    """Coset descent: a coset is resolved once ``_hensel_box`` finds the box
+    it covers; each fiber in the box gets an equal share of its points."""
     p = ctx.p
     n = f.n
     b, mod, comps = _integerized_components(f, m, p)
     m_eff = m + b
     zero = (0,) * n
-    counts: dict[FiberKey, int] = {}
+    counts: dict[int, int] = {}
     stack = [(0, comps)]
     while stack:
         k, polys = stack.pop()
-        if all(_classify(g, n) == "p1" for g in polys):
-            key = _decode_key([g.get(zero, 0) % mod for g in polys], b, p)
-            counts[key] = counts.get(key, 0) + p ** ((m_eff - k) * n)
+        lams = _hensel_box(polys, n, p, m_eff)
+        if lams is None:
+            stack.extend(
+                (k + 1, [_shift_digit_mod(g, delta, p, mod) for g in polys])
+                for delta in itertools.product(range(p), repeat=n)
+            )
             continue
-        children = [
-            (k + 1, [_shift_digit_mod(g, delta, p, mod) for g in polys])
-            for delta in itertools.product(range(p), repeat=n)
+        weight = p ** ((m_eff - k) * n - sum(m_eff - lam for lam in lams))
+        sides = [
+            range(g.get(zero, 0) % p**lam, mod, p**lam) for g, lam in zip(polys, lams)
         ]
-        stack.extend(reversed(children))
-    return DensityTable(p, m, n, f.r, b, counts)
+        for values in itertools.product(*sides):
+            key = 0
+            for v in values:
+                key = key * mod + v
+            counts[key] = counts.get(key, 0) + weight
+    keys = sorted(counts)
+    return _table(f, m, p, b, keys, [counts[k] for k in keys])
 
 
 def count_fibers(
@@ -254,14 +277,18 @@ def fourier_check(
             )
     direct = eval_naive(EvalRequest.of(f, ys, ctx)).histogram
     table = count_fibers(f, m, ctx)
-    m_eff = m + table.clear
-    phases = []
-    for key, count in table.sorted_items():
-        dot = sum((yv * Fraction(z) for yv, z in zip(ys, key)), Fraction(0))
-        phases.append((fractional_part(dot, p), count))
-    synth = PhaseHistogram.from_phase_counts(
-        p, phases, Fraction(p) ** (-m_eff * f.n)
-    )
+    # z_j = v_j / p**B with v_j an integer, so psi(y . z) only needs each
+    # y_j / p**B mod Z_p, written over the common denominator p**level.
+    den = p**table.clear
+    classes = [fractional_part(v / den, p) for v in ys]
+    level = max(c.level for c in classes)
+    mod = p**level
+    weights = [c.numerator * p ** (level - c.level) for c in classes]
+    counts: dict[int, int] = {}
+    for key, count in table.counts.items():
+        dot = sum(w * z.numerator * (den // z.denominator) for w, z in zip(weights, key))
+        counts[dot % mod] = counts.get(dot % mod, 0) + count
+    synth = PhaseHistogram(p, level, counts, Fraction(p) ** (-(m + table.clear) * f.n))
     return direct + synth.scaled(-1)
 
 
@@ -362,30 +389,8 @@ def _preimages(
     f: PolyMap, z: tuple[int, ...], m: int, ctx: PrimeContext, limit: int
 ) -> tuple[int, list[tuple[int, ...]]]:
     """(total count, first ``limit`` solutions of f(x) = z mod p**m in lex order)."""
-    p = ctx.p
-    n = f.n
-    b, mod, comps = _integerized_components(f, m, p)
-    needed = mod**n
-    if needed > ctx.naive_budget:
-        raise BudgetExceededError(needed, ctx.naive_budget)
-    target = [c * p**b % mod for c in z]
-    total = 0
-    found: list[tuple[int, ...]] = []
-    for x in itertools.product(range(mod), repeat=n):
-        ok = True
-        for g, t in zip(comps, target):
-            val = 0
-            for exp, c in g.items():
-                term = c
-                for xi, e in zip(x, exp):
-                    if e:
-                        term = term * pow(xi, e, mod) % mod
-                val = (val + term) % mod
-            if val != t:
-                ok = False
-                break
-        if ok:
-            total += 1
-            if len(found) < limit:
-                found.append(x)
-    return total, found
+    b, mod, comps = _integerized_components(f, m, ctx.p)
+    target = 0
+    for c in z:
+        target = target * mod + c * ctx.p**b % mod
+    return find_points(comps, mod, f.n, ctx.naive_budget, target, limit)

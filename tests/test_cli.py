@@ -81,6 +81,15 @@ def test_eval_parse_error_exit(capsys):
     assert "error" in err
 
 
+def test_deeply_nested_map_is_a_parse_error(capsys):
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    code, out, err = run(capsys, "eval", "--map", deep, "--y", "1/3")
+    assert code == EXIT_PARSE
+    assert "nested deeper" in err and "Traceback" not in err and out == ""
+    ok = "(" * 100 + "x1^2" + ")" * 100
+    assert run(capsys, "eval", "--map", ok, "--y", "1/3")[0] == EXIT_OK
+
+
 def test_eval_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("PADICSUMS_BUDGET", "10")
     code, _, _ = run(
@@ -155,6 +164,15 @@ def test_decay_sampled_strategy(capsys):
     payload = json.loads(out[out.index("{") :])
     assert payload["config"]["seed"] == 9
     assert all(not rec["exhaustive"] for rec in payload["records"])
+
+
+def test_decay_empty_sample_is_rejected(capsys):
+    # sample:0 would evaluate no direction and still claim exact zeros
+    code, out, err = run(
+        capsys, "decay", "--map", "x1^2", "--levels", "1..2", "--strategy", "sample:0"
+    )
+    assert code == EXIT_PARSE
+    assert "N >= 1" in err and out == ""
 
 
 def test_fourier_check_ok(capsys):

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 from fractions import Fraction
@@ -182,3 +183,22 @@ def test_density_csv_and_json():
     assert lines[2] == "1,2,2"
     d = t.to_json_dict()
     assert d["rows"][0] == {"z": ["0"], "N": 1, "F": "1"}
+
+
+def test_density_column_matches_exact_fractions():
+    # F = N * p**e with e < 0 (r < n), e = 0, e > 0 (r > n), and with B > 0
+    ctx = PrimeContext(3)
+    cases = (("x1^2+x2^2", 2, 2), ("x1*x2", 2, 1), ("x1; x1^2", 1, 2), ("1/3*x1^2+x2^3", 2, 1))
+    for text, n, m in cases:
+        for strategy in ("naive", "recursive"):
+            t = count_fibers(parse_polymap(text, n), m, ctx, strategy=strategy)
+            buf = io.StringIO()
+            t.write_csv(buf)
+            rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+            expected = [
+                [str(c) for c in key] + [str(count), str(t.density(key))]
+                for key, count in t.sorted_items()
+            ]
+            assert rows == expected
+            json_rows = t.to_json_dict()["rows"]
+            assert [r["F"] for r in json_rows] == [row[-1] for row in expected]
