@@ -50,7 +50,6 @@ from .polymap import (
     eval_mod,
     parse_polymap,
     series_truncate,
-    shift_substitute,
 )
 from .singular import (
     DensityTable,

@@ -4,7 +4,8 @@ Subcommands: eval, density, decay, fourier-check.  All randomness is seeded
 and the seed is echoed in the output; identical configuration and seed give
 byte-identical output at any worker count.
 
-Exit codes: 0 success, 2 parse/usage error, 3 budget exceeded,
+Exit codes: 0 success, 2 parse/usage error (including a --map-file that
+cannot be read or an --out path that cannot be written), 3 budget exceeded,
 4 precondition violated, 5 internal consistency failure.
 """
 
@@ -24,14 +25,12 @@ from typing import Sequence
 from .decay import (
     DEFAULT_EPSILON,
     degree_bound_report,
-    fit_alpha,
     sup_at_level,
     write_decay_csv,
 )
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
-    FitError,
     ParseError,
     PreconditionError,
 )
@@ -207,7 +206,10 @@ def _load_map_text(args) -> str:
     if args.map:
         return args.map
     if args.map_file:
-        return Path(args.map_file).read_text().strip()
+        try:
+            return Path(args.map_file).read_text().strip()
+        except OSError as exc:
+            raise ParseError(f"cannot read map file {args.map_file!r}: {exc.strerror}") from None
     raise ParseError("a polynomial map is required (--map or --map-file)")
 
 
@@ -223,9 +225,16 @@ def _budget(args) -> int:
     return DEFAULT_NAIVE_BUDGET
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -304,9 +313,10 @@ def _cmd_decay(args) -> int:
         for m in range(m0, m1 + 1)
     ]
     report = degree_bound_report(f, records, ctx, epsilon=args.epsilon)
-    fit_dict = None
-    try:
-        fit = fit_alpha(records, f, ctx)
+    fit = report.fit
+    if fit is None:
+        fit_dict = {"error": report.fit_error, "verdict": report.verdict}
+    else:
         fit_dict = {
             "alpha_hat": fit.alpha_hat,
             "intercept": fit.intercept,
@@ -316,8 +326,6 @@ def _cmd_decay(args) -> int:
             "c_hat": fit.c_hat,
             "verdict": report.verdict,
         }
-    except FitError as exc:
-        fit_dict = {"error": str(exc), "verdict": report.verdict}
     payload = {
         "config": config.to_json_dict(),
         "records": [rec.to_json_dict() for rec in records],
@@ -327,8 +335,8 @@ def _cmd_decay(args) -> int:
     csv_buf = StringIO()
     write_decay_csv(records, csv_buf)
     if args.out:
-        Path(args.out + ".json").write_text(_json_dumps(payload))
-        Path(args.out + ".csv").write_text(csv_buf.getvalue())
+        _write(args.out + ".json", _json_dumps(payload))
+        _write(args.out + ".csv", csv_buf.getvalue())
     else:
         sys.stdout.write(csv_buf.getvalue())
         sys.stdout.write(_json_dumps(payload) + "\n")

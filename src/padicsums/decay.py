@@ -74,20 +74,6 @@ class FitResult:
     c_hat_square: Fraction | None
     zero_levels: list[int]
 
-    def to_json_dict(self, verdict: str | None = None) -> dict:
-        d = {
-            "alpha_hat": self.alpha_hat,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "window": list(self.window),
-            "bound_exponent": self.bound_exponent,
-            "c_hat": self.c_hat,
-            "zero_levels": self.zero_levels,
-        }
-        if verdict is not None:
-            d["verdict"] = verdict
-        return d
-
 
 def primitive_directions(p: int, m: int, r: int) -> Iterator[tuple[int, ...]]:
     """All u in [0, p**m)^r with at least one unit coordinate, lex order."""
@@ -144,15 +130,10 @@ def sup_at_level(
             raise BudgetExceededError(
                 total, ctx.naive_budget, what="directions (use a sample strategy)"
             )
-        if f.r == 1:
-            directions = ((u,) for u in range(1, p**m) if u % p)
-        else:
-            directions = primitive_directions(p, m, f.r)
     else:
         kind, count, seed = strategy
         if kind != "sample":
             raise ValueError(f"unknown strategy {strategy!r}")
-        directions = _sample_directions(p, m, f.r, count, seed)
 
     best_mag = 0.0
     best_err = 0.0
@@ -164,6 +145,10 @@ def sup_at_level(
         sweep = eval_unit_directions(f, phi, m, ctx)
         iterator = (((u,), hist) for u, hist in sweep)
     else:
+        if exhaustive:
+            directions = primitive_directions(p, m, f.r)
+        else:
+            directions = _sample_directions(p, m, f.r, count, seed)
         mod = p**m
 
         def _evaluate(u: tuple[int, ...]) -> PhaseHistogram:
@@ -271,7 +256,8 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
 
 @dataclass
 class DecayReport:
-    """Per-level envelope ratios and the exponent-consistency verdict."""
+    """Per-level envelope ratios, the exponent fit (or why there is none)
+    and the exponent-consistency verdict."""
 
     hypothesis_ok: bool
     d_max: int
@@ -279,10 +265,18 @@ class DecayReport:
     epsilon: float
     bound_exponent: float | None
     ratios: list[tuple[int, float]]
-    c_hat: float
-    alpha_hat: float | None
     verdict: str
     notes: list[str]
+    fit: FitResult | None
+    fit_error: str | None  # the FitError text when ``fit`` is None
+
+    @property
+    def alpha_hat(self) -> float | None:
+        return self.fit.alpha_hat if self.fit else None
+
+    @property
+    def c_hat(self) -> float:
+        return self.fit.c_hat if self.fit else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -305,7 +299,8 @@ def degree_bound_report(
     ctx: PrimeContext,
     epsilon: float = DEFAULT_EPSILON,
 ) -> DecayReport:
-    """Check the data against the explicit |y|**(-1/d(f)) envelope.
+    """Fit the records and check them against the explicit |y|**(-1/d(f))
+    envelope.
 
     The verdict is CONSISTENT when the fitted exponent is at most
     -1/d(f) + epsilon; only the exponent is checked, while the constant is
@@ -333,26 +328,22 @@ def degree_bound_report(
             ratios.append(
                 (rec.level, rec.sup * p ** (rec.level / d) / rec.level ** (f.n - 1))
             )
-    alpha_hat: float | None = None
-    c_hat = 0.0
+    fit: FitResult | None = None
+    fit_error: str | None = None
+    try:
+        fit = fit_alpha(records, f, ctx)
+    except FitError as exc:
+        fit_error = str(exc)
     if not usable:
         verdict = "VACUOUS"
         notes.append("every recorded supremum is exactly zero")
+    elif fit is None:
+        verdict = "VACUOUS"
+        notes.append(fit_error)
     else:
-        try:
-            fit = fit_alpha(records, f, ctx)
-            alpha_hat = fit.alpha_hat
-            c_hat = fit.c_hat
-        except FitError as exc:
-            notes.append(str(exc))
-            verdict = "VACUOUS"
-            return DecayReport(
-                hypothesis_ok, d, deg.e_orders, epsilon, bound_exponent,
-                ratios, c_hat, alpha_hat, verdict, notes,
-            )
         if bound_exponent is None:
             verdict = "NOT-APPLICABLE"
-        elif alpha_hat <= bound_exponent + epsilon:
+        elif fit.alpha_hat <= bound_exponent + epsilon:
             verdict = "CONSISTENT"
         else:
             verdict = "INCONSISTENT"
@@ -360,7 +351,7 @@ def degree_bound_report(
             notes.append("verdict reported on data only; hypothesis does not hold")
     return DecayReport(
         hypothesis_ok, d, deg.e_orders, epsilon, bound_exponent,
-        ratios, c_hat, alpha_hat, verdict, notes,
+        ratios, verdict, notes, fit, fit_error,
     )
 
 

@@ -16,9 +16,11 @@ H(t) = G(a + p**k t) - G(a), a coset is resolved without enumeration when
 
 Otherwise the coset splits into its p**n sub-cosets.  Each monomial of
 degree d picks up a factor p**(k*d) at depth k, so by depth M rule P1 always
-fires and the recursion terminates.  Both evaluators return the same exact
-value; equality of reduced histograms is the cross-check used throughout
-the test suite.
+fires and the recursion terminates.  The walk itself, ``descend_cosets``,
+takes the prune rule as an argument; the recursive fiber counter in
+``singular`` runs it with its box rule.  Both evaluators return the same
+exact value; equality of reduced histograms is the cross-check used
+throughout the test suite.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .grid import IntPoly, tally
@@ -185,57 +187,71 @@ def _shift_digit_mod(g: IntPoly, delta: Sequence[int], p: int, mod: int) -> IntP
     return out
 
 
-def _classify(g: IntPoly, n: int) -> str:
-    """Prune decision for the coset with shifted phase polynomial g."""
-    zero = (0,) * n
+def descend_cosets(
+    polys: Sequence[IntPoly],
+    level: int,
+    n: int,
+    p: int,
+    rule: Callable[[tuple[IntPoly, ...]], Any],
+) -> Iterator[tuple[int, tuple[IntPoly, ...], Any]]:
+    """Walk the cosets a + p**k Z_p^n in digit-lexicographic order.
+
+    ``polys`` are integer polynomials reduced mod p**level, as polynomials
+    in the coordinate t of the root coset Z_p^n.  Each node is yielded as
+    (k, its polynomials in its own coordinate, label), where the label is
+    ``rule(polys)``; a label of None splits the node into its p**n
+    sub-cosets a + p**k * delta + p**(k+1) Z_p^n, visited in order of the
+    digit vector delta.  Both the phase sums and the fiber counts are leaf
+    handlers over this walk.
+    """
+    mod = p**level
+    # children are pushed last digit vector first, so they pop in lex order
+    deltas = list(itertools.product(range(p), repeat=n))[::-1]
+    stack = [(0, tuple(polys))]
+    while stack:
+        k, polys = stack.pop()
+        label = rule(polys)
+        yield k, polys, label
+        if label is None:
+            shifted = [[_shift_digit_mod(g, d, p, mod) for d in deltas] for g in polys]
+            stack.extend(zip(itertools.repeat(k + 1), zip(*shifted)))
+
+
+def _classify(polys: tuple[IntPoly, ...]) -> str | None:
+    """Prune rule of the phase descent: "p1", "p2", or None to split."""
+    (g,) = polys
     has_linear = False
     for exp in g:
-        if exp == zero:
-            continue
-        if sum(exp) >= 2:
-            return "split"
-        has_linear = True
+        degree = sum(exp)
+        if degree >= 2:
+            return None
+        if degree == 1:
+            has_linear = True
     return "p2" if has_linear else "p1"
 
 
-def _collect_leaves(
-    g: IntPoly, level: int, n: int, p: int
-) -> tuple[list[tuple[int, int]], PruneStats]:
-    """DFS over cosets; returns the P1 leaves as (phase class, weight) pairs.
+def _collect_leaves(g: IntPoly, level: int, n: int, p: int) -> tuple[dict[int, int], PruneStats]:
+    """Phase-class counts of the P1 leaves, in units of p**(-level*n).
 
-    Weights are coset sizes in units of p**(-level*n); the leaf list order is
-    the deterministic digit-lexicographic traversal order.
+    Classes appear in the order the digit-lexicographic walk first meets
+    them.
     """
     mod = p**level
     zero = (0,) * n
-    leaves: list[tuple[int, int]] = []
-    stats = PruneStats()
-    stack: list[tuple[int, IntPoly]] = [(0, g)]
-    while stack:
-        k, poly = stack.pop()
-        kind = _classify(poly, n)
-        if kind == "p1":
-            stats.p1 += 1
-            stats.leaves += 1
-            leaves.append((poly.get(zero, 0) % mod, p ** ((level - k) * n)))
-        elif kind == "p2":
-            stats.p2 += 1
-            stats.leaves += 1
-        else:
-            stats.splits += 1
-            children = [
-                (k + 1, _shift_digit_mod(poly, delta, p, mod))
-                for delta in itertools.product(range(p), repeat=n)
-            ]
-            stack.extend(reversed(children))  # preserve lexicographic order
-    return leaves, stats
-
-
-def _leaves_to_counts(leaves: list[tuple[int, int]]) -> dict[int, int]:
     counts: dict[int, int] = {}
-    for cls, w in leaves:
-        counts[cls] = counts.get(cls, 0) + w
-    return counts
+    stats = PruneStats()
+    for k, (poly,), kind in descend_cosets((g,), level, n, p, _classify):
+        if kind is None:
+            stats.splits += 1
+            continue
+        stats.leaves += 1
+        if kind == "p2":
+            stats.p2 += 1
+            continue
+        stats.p1 += 1
+        cls = poly.get(zero, 0) % mod
+        counts[cls] = counts.get(cls, 0) + p ** ((level - k) * n)
+    return counts, stats
 
 
 def _naive_counts(
@@ -249,21 +265,28 @@ def _naive_counts(
 # ------------------------------------------------------------------ evaluators
 
 
+def _ball_phases(
+    g: Poly, phi: SchwartzBruhat, p: int, n: int
+) -> Iterator[tuple[int, IntPoly, Fraction]]:
+    """(M, G, scale) for each ball c + p**k Z_p^n of phi: g(c + p**k t) is
+    G(t) / p**M mod Z_p, and the ball's weighted integral is scale times
+    the sum of psi(G(t) / p**M) over t mod p**M."""
+    for ball in phi.terms:
+        gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
+        m_eff, gint = _integer_phase(gb, p)
+        yield m_eff, gint, ball.weight * Fraction(p) ** (-(ball.k + m_eff) * n)
+
+
 def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
     p = req.ctx.p
     n = req.f.n
-    g = req.phase_poly()
     total = PhaseHistogram.zero(p)
     stats = PruneStats()
-    for ball in req.phi.terms:
-        gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
-        m_eff, gint = _integer_phase(gb, p)
+    for m_eff, gint, scale in _ball_phases(req.phase_poly(), req.phi, p, n):
         if method == "naive":
             counts, st = _naive_counts(gint, m_eff, n, p, req.ctx.naive_budget)
         else:
-            leaves, st = _collect_leaves(gint, m_eff, n, p)
-            counts = _leaves_to_counts(leaves)
-        scale = ball.weight * Fraction(p) ** (-(ball.k + m_eff) * n)
+            counts, st = _collect_leaves(gint, m_eff, n, p)
         total = total + PhaseHistogram(p, m_eff, counts, scale)
         stats = stats + st
     return EvalResult(total, stats)
@@ -346,20 +369,15 @@ def eval_unit_directions(
     p = ctx.p
     n = f.n
     g = poly_scale(f.components[0], Fraction(1, p**m))
-    per_ball = []
-    for ball in phi.terms:
-        gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
-        m_eff, gint = _integer_phase(gb, p)
-        leaves, _ = _collect_leaves(gint, m_eff, n, p)
-        scale = ball.weight * Fraction(p) ** (-(ball.k + m_eff) * n)
-        per_ball.append((m_eff, scale, leaves))
+    per_ball = [
+        (m_eff, scale, _collect_leaves(gint, m_eff, n, p)[0])
+        for m_eff, gint, scale in _ball_phases(g, phi, p, n)
+    ]
     for u in unit_directions(p, m):
         total = PhaseHistogram.zero(p)
-        for m_eff, scale, leaves in per_ball:
+        for m_eff, scale, leaf_counts in per_ball:
             mod = p**m_eff
-            counts: dict[int, int] = {}
-            for cls, w in leaves:
-                key = cls * u % mod
-                counts[key] = counts.get(key, 0) + w
+            # u is invertible mod p**M, so relabelling never merges classes
+            counts = {cls * u % mod: w for cls, w in leaf_counts.items()}
             total = total + PhaseHistogram(p, m_eff, counts, scale)
         yield u, (total.reduced() if reduce else total)

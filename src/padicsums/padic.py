@@ -130,9 +130,6 @@ class PhaseFraction:
     level: int
     numerator: int
 
-    def as_fraction(self, p: int) -> Fraction:
-        return Fraction(self.numerator, p**self.level)
-
 
 def fractional_part(x: Rational, p: int) -> PhaseFraction:
     """The class of x modulo Z_p, as a canonical PhaseFraction.

@@ -99,11 +99,6 @@ def poly_eval(a: Poly, point: Sequence[Rational]) -> Fraction:
     return total
 
 
-def poly_terms_sorted(a: Poly) -> list[tuple[Exponent, Fraction]]:
-    """Terms in graded-lex order: the canonical iteration order."""
-    return sorted(a.items(), key=lambda item: (sum(item[0]), item[0]))
-
-
 def partial_derivative(a: Poly, i: int) -> Poly:
     out: Poly = {}
     for exp, c in a.items():
@@ -150,18 +145,6 @@ def _substitute_one(a: Poly, i: int, c: Fraction, q: Fraction) -> Poly:
             else:
                 out.pop(nexp, None)
     return out
-
-
-def shift_substitute(g: Poly, a: Sequence[Rational], k: int, p: int) -> Poly:
-    """g(a + p**k * t) - g(a), expanded exactly.
-
-    The constant term is dropped: what remains is the phase variation across
-    the coset a + p**k Z_p^n, which is what the vanishing tests inspect.
-    """
-    n = len(a)
-    full = substitute_affine(g, a, Fraction(p) ** k, n)
-    full.pop((0,) * n, None)
-    return full
 
 
 # -------------------------------------------------------------------ivaluation
@@ -280,26 +263,6 @@ class PolyMap:
     @property
     def r(self) -> int:
         return len(self.components)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "components": [
-                [[list(exp), str(c)] for exp, c in poly_terms_sorted(comp)]
-                for comp in self.components
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PolyMap":
-        comps = []
-        for terms in d["components"]:
-            poly: Poly = {}
-            for exp, c in terms:
-                poly[tuple(int(e) for e in exp)] = Fraction(c)
-            comps.append(poly)
-        return cls(int(d["n"]), tuple(comps))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import PreconditionError
-from .expsum import EvalRequest, _shift_digit_mod, eval_naive
+from .expsum import EvalRequest, descend_cosets, eval_naive
 from .grid import INT64_KEYS_MAX, find_points, tally
 from .padic import (
     PhaseHistogram,
@@ -214,15 +214,9 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
     m_eff = m + b
     zero = (0,) * n
     counts: dict[int, int] = {}
-    stack = [(0, comps)]
-    while stack:
-        k, polys = stack.pop()
-        lams = _hensel_box(polys, n, p, m_eff)
+    walk = descend_cosets(comps, m_eff, n, p, lambda polys: _hensel_box(polys, n, p, m_eff))
+    for k, polys, lams in walk:
         if lams is None:
-            stack.extend(
-                (k + 1, [_shift_digit_mod(g, delta, p, mod) for g in polys])
-                for delta in itertools.product(range(p), repeat=n)
-            )
             continue
         weight = p ** ((m_eff - k) * n - sum(m_eff - lam for lam in lams))
         sides = [

@@ -227,6 +227,40 @@ def test_map_file_input(capsys, tmp_path):
     assert json.loads(out)["config"]["map"] == "x1^2"
 
 
+
+def test_unreadable_map_file_is_a_parse_error(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "eval", "--map-file", str(missing), "--y", "1/3")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: cannot read map file") and "Traceback" not in err
+
+
+def test_unwritable_out_is_a_parse_error(capsys, tmp_path):
+    target = tmp_path / "no-such-dir" / "o"
+    code, _, err = run(capsys, "eval", "--map", "x1^2", "--y", "1/3", "--out", f"{target}.json")
+    assert code == EXIT_PARSE
+    assert err.startswith("error: cannot write")
+    code, _, err = run(capsys, "decay", "--map", "x1^2", "--levels", "1..2", "--out", str(target))
+    assert code == EXIT_PARSE
+    assert err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize(
+    "map_text, levels, error",
+    [
+        ("x1", "1..3", "every record in the window is exactly zero; nothing to fit"),
+        ("x1^2", "1..1", "need at least two nonzero records to fit a slope"),
+    ],
+)
+def test_decay_without_a_fit_reports_why(capsys, map_text, levels, error):
+    code, out, err = run(capsys, "decay", "--map", map_text, "--levels", levels)
+    assert code == EXIT_OK
+    payload = json.loads(out[out.index("{"):])
+    assert payload["fit"] == {"error": error, "verdict": "VACUOUS"}
+    assert payload["report"]["alpha_hat"] is None and payload["report"]["c_hat"] == 0.0
+    assert err.startswith("note: ")
+
 def test_phi_flag(capsys):
     phi = json.dumps([{"center": ["0"], "k": 1, "weight": "1"}])
     code, out, _ = run(

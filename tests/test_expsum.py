@@ -125,6 +125,21 @@ def test_eval_recursive_constant_map_prunes_at_root():
     assert res.histogram.equals_value(expected)
 
 
+
+@pytest.mark.parametrize(
+    "text, n, m, p1, p2, splits",
+    [
+        ("x1^3 + x2^3 + x1*x2", 2, 6, 1, 728, 91),
+        ("x1^3 + x2^3 + x1*x2", 2, 7, 9, 6552, 820),
+        ("x1^2*x2 + x3^3 + x2", 3, 5, 0, 17577, 676),
+    ],
+)
+def test_phase_descent_tree_is_pinned(text, n, m, p1, p2, splits):
+    """The prune rules fix the tree; a rule change must show up here."""
+    req = EvalRequest.of(parse_polymap(text, n), [Fraction(1, 3**m)], PrimeContext(3))
+    stats = eval_recursive(req).stats
+    assert (stats.p1, stats.p2, stats.splits, stats.leaves) == (p1, p2, splits, p1 + p2)
+
 def test_oracle_equivalence_randomized():
     rng = random.Random(100)
     for _ in range(60):
