@@ -115,10 +115,18 @@ def sup_at_level(
 ) -> DecayRecord:
     """Max of |E(u/p**m)| over primitive directions at level m.
 
-    ``strategy`` is ``"exhaustive"`` or ``("sample", count, seed)``.  Ties in
-    the float magnitude are broken by the lexicographically smallest u, so
-    the argmax is deterministic.  Exhaustive sweeps require the direction
-    count to fit the context budget.
+    ``strategy`` is ``"exhaustive"`` or ``("sample", count, seed)``.  The
+    directions are visited in lexicographic order (exhaustive) or in the
+    order they are drawn (sampled, repeats included), and the argmax is the
+    first direction whose float magnitude is strictly larger than every
+    earlier one: ties go to the lexicographically smallest u when exhaustive
+    and to the first drawn u when sampled.  Exhaustive sweeps require the
+    direction count to fit the context budget.
+
+    For r = 1, E(u/p**m) depends only on the class of u mod p**M', the level
+    of its reduced histogram (``eval_unit_directions``), so each class is
+    measured once: a later unit of a measured class has the same float and
+    cannot be strictly larger.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -141,9 +149,9 @@ def sup_at_level(
     best_square: Fraction | None = None
     seen_nonzero = False
 
-    if exhaustive and f.r == 1:
-        sweep = eval_unit_directions(f, phi, m, ctx)
-        iterator = (((u,), hist) for u, hist in sweep)
+    if f.r == 1:
+        units = None if exhaustive else (u for (u,) in _sample_directions(p, m, 1, count, seed))
+        iterator = (((u,), hist) for u, hist in eval_unit_directions(f, phi, m, ctx, units))
     else:
         if exhaustive:
             directions = primitive_directions(p, m, f.r)
@@ -157,10 +165,16 @@ def sup_at_level(
 
         iterator = ((u, _evaluate(u)) for u in directions)
 
+    measured: set[int] = set()  # classes of u mod p**M' already measured (r = 1)
     for u, hist in iterator:
         if not hist.counts:
             continue
         seen_nonzero = True
+        if f.r == 1:
+            cls = u[0] % p**hist.level
+            if cls in measured:
+                continue
+            measured.add(cls)
         mag, err = hist.magnitude()
         if mag > best_mag or best_u is None:
             best_mag, best_err, best_u = mag, err, u

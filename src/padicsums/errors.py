@@ -23,12 +23,17 @@ class ParseError(PadicSumsError, ValueError):
 
 
 class BudgetExceededError(PadicSumsError):
-    """An enumeration would visit more points than the configured budget."""
+    """An enumeration would visit more points than the configured budget.
 
-    def __init__(self, needed: int, budget: int, what: str = "points"):
+    ``needed`` is None when the work was stopped on passing the budget, so
+    only "more than ``budget``" is known.
+    """
+
+    def __init__(self, needed: int | None, budget: int, what: str = "points"):
         self.needed = needed
         self.budget = budget
-        super().__init__(f"budget exceeded: {needed} {what} needed, budget is {budget}")
+        amount = f"more than {budget}" if needed is None else needed
+        super().__init__(f"budget exceeded: {amount} {what} needed, budget is {budget}")
 
 
 class PreconditionError(PadicSumsError, ValueError):

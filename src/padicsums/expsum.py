@@ -29,9 +29,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .grid import IntPoly, tally
 from .padic import (
     INFINITY,
@@ -193,6 +193,7 @@ def descend_cosets(
     n: int,
     p: int,
     rule: Callable[[tuple[IntPoly, ...]], Any],
+    budget: int,
 ) -> Iterator[tuple[int, tuple[IntPoly, ...], Any]]:
     """Walk the cosets a + p**k Z_p^n in digit-lexicographic order.
 
@@ -202,14 +203,19 @@ def descend_cosets(
     ``rule(polys)``; a label of None splits the node into its p**n
     sub-cosets a + p**k * delta + p**(k+1) Z_p^n, visited in order of the
     digit vector delta.  Both the phase sums and the fiber counts are leaf
-    handlers over this walk.
+    handlers over this walk.  Visiting more than ``budget`` nodes raises
+    BudgetExceededError.
     """
     mod = p**level
     # children are pushed last digit vector first, so they pop in lex order
     deltas = list(itertools.product(range(p), repeat=n))[::-1]
     stack = [(0, tuple(polys))]
+    visited = 0
     while stack:
         k, polys = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError(None, budget, what="coset nodes")
         label = rule(polys)
         yield k, polys, label
         if label is None:
@@ -230,7 +236,9 @@ def _classify(polys: tuple[IntPoly, ...]) -> str | None:
     return "p2" if has_linear else "p1"
 
 
-def _collect_leaves(g: IntPoly, level: int, n: int, p: int) -> tuple[dict[int, int], PruneStats]:
+def _collect_leaves(
+    g: IntPoly, level: int, n: int, p: int, budget: int
+) -> tuple[dict[int, int], PruneStats]:
     """Phase-class counts of the P1 leaves, in units of p**(-level*n).
 
     Classes appear in the order the digit-lexicographic walk first meets
@@ -240,7 +248,7 @@ def _collect_leaves(g: IntPoly, level: int, n: int, p: int) -> tuple[dict[int, i
     zero = (0,) * n
     counts: dict[int, int] = {}
     stats = PruneStats()
-    for k, (poly,), kind in descend_cosets((g,), level, n, p, _classify):
+    for k, (poly,), kind in descend_cosets((g,), level, n, p, _classify, budget):
         if kind is None:
             stats.splits += 1
             continue
@@ -286,7 +294,7 @@ def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
         if method == "naive":
             counts, st = _naive_counts(gint, m_eff, n, p, req.ctx.naive_budget)
         else:
-            counts, st = _collect_leaves(gint, m_eff, n, p)
+            counts, st = _collect_leaves(gint, m_eff, n, p, req.ctx.naive_budget)
         total = total + PhaseHistogram(p, m_eff, counts, scale)
         stats = stats + st
     return EvalResult(total, stats)
@@ -303,7 +311,10 @@ def eval_naive(req: EvalRequest, workers: int = 1) -> EvalResult:
 
 
 def eval_recursive(req: EvalRequest, workers: int = 1) -> EvalResult:
-    """Exact value by pruned descent; no budget bound, depth <= level + B.
+    """Exact value by pruned descent, depth <= level + B.
+
+    The descent of each ball of phi may visit at most ctx.naive_budget
+    coset nodes; a larger tree raises BudgetExceededError.
 
     ``workers`` is accepted for compatibility and has no effect: the descent
     runs in one thread (threads gave no speed-up under the GIL).
@@ -353,14 +364,20 @@ def eval_unit_directions(
     phi: SchwartzBruhat,
     m: int,
     ctx: PrimeContext,
-    reduce: bool = True,
+    units: Iterable[int] | None = None,
 ) -> Iterator[tuple[int, PhaseHistogram]]:
-    """Histograms of E(u / p**m) for every unit u, sharing one descent tree.
+    """Reduced histograms of E(u / p**m) for every unit u in [1, p**m),
+    ascending, or for each of ``units`` in the order given.
 
     Only for r = 1.  A unit u rescales every coefficient of the phase
     polynomial by a p-adic unit, so the coset classification (vanishing of
-    coefficients mod p**M) is identical for all u: the P1 leaves are computed
-    once and each direction only relabels their phase classes by u.
+    coefficients mod p**M) is identical for all u, and E(u / p**m) is the
+    Galois conjugate sigma_u E(1 / p**m), where sigma_u sends zeta to
+    zeta**u.  The P1 leaves of every ball are collected once, summed and
+    reduced once to R = E(1 / p**m) at level M'; sigma_u R depends only on
+    u mod p**M', so each class of units mod p**M' is relabelled and reduced
+    once, and its histogram (one shared object) is yielded for every unit
+    of the class.
     """
     if f.r != 1:
         raise ValueError("unit-direction sweep applies to single-component maps")
@@ -369,15 +386,17 @@ def eval_unit_directions(
     p = ctx.p
     n = f.n
     g = poly_scale(f.components[0], Fraction(1, p**m))
-    per_ball = [
-        (m_eff, scale, _collect_leaves(gint, m_eff, n, p)[0])
-        for m_eff, gint, scale in _ball_phases(g, phi, p, n)
-    ]
-    for u in unit_directions(p, m):
-        total = PhaseHistogram.zero(p)
-        for m_eff, scale, leaf_counts in per_ball:
-            mod = p**m_eff
-            # u is invertible mod p**M, so relabelling never merges classes
-            counts = {cls * u % mod: w for cls, w in leaf_counts.items()}
-            total = total + PhaseHistogram(p, m_eff, counts, scale)
-        yield u, (total.reduced() if reduce else total)
+    total = PhaseHistogram.zero(p)
+    for m_eff, gint, scale in _ball_phases(g, phi, p, n):
+        counts, _ = _collect_leaves(gint, m_eff, n, p, ctx.naive_budget)
+        total = total + PhaseHistogram(p, m_eff, counts, scale)
+    base = total.reduced()
+    mod = p**base.level
+    classes: dict[int, PhaseHistogram] = {}
+    for u in unit_directions(p, m) if units is None else units:
+        if u % p == 0:
+            raise ValueError(f"direction {u} is not a unit mod {p}")
+        hist = classes.get(u % mod)
+        if hist is None:
+            hist = classes[u % mod] = base.galois(u).reduced()
+        yield u, hist

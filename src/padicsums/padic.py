@@ -247,12 +247,19 @@ class PhaseHistogram:
             counts[(k + shift) % mod] = counts.get((k + shift) % mod, 0) + c
         return PhaseHistogram(self.p, level, counts, self.scale)
 
-    def conjugate(self) -> "PhaseHistogram":
+    def galois(self, u: int) -> "PhaseHistogram":
+        """Image under the Galois automorphism zeta -> zeta**u, u coprime to p.
+
+        Class k becomes class k*u mod p**level; u is invertible there, so no
+        classes merge.  The result is not reduced.
+        """
         mod = self.p**self.level
-        counts: dict[int, int] = {}
-        for k, c in self.counts.items():
-            counts[(-k) % mod] = counts.get((-k) % mod, 0) + c
-        return PhaseHistogram(self.p, self.level, counts, self.scale)
+        return PhaseHistogram(
+            self.p, self.level, {k * u % mod: c for k, c in self.counts.items()}, self.scale
+        )
+
+    def conjugate(self) -> "PhaseHistogram":
+        return self.galois(-1)
 
     def abs_square(self) -> "PhaseHistogram":
         """Histogram of |value|**2 = value * conj(value).

@@ -26,6 +26,10 @@ MAX_EXPONENT = 4096
 #: Deepest parenthesis nesting accepted by the parser (guards its recursion).
 MAX_NESTING = 100
 
+#: Most terms a polynomial built by the parser may have; products and powers
+#: are checked while they expand (guards term blow-up).
+MAX_TERMS = 1000
+
 #: Degree bound up to which a series valuation floor is searched before the
 #: series is refused as not certified restricted.
 SERIES_DEGREE_CAP = 512
@@ -63,7 +67,13 @@ def poly_scale(a: Poly, c: Rational) -> Poly:
     return {exp: coeff * c for exp, coeff in a.items()}
 
 
+def _check_terms(a: Poly) -> None:
+    if len(a) > MAX_TERMS:
+        raise ParseError(f"polynomial has more than {MAX_TERMS} terms")
+
+
 def poly_mul(a: Poly, b: Poly) -> Poly:
+    """a * b; ParseError as soon as the partial product passes MAX_TERMS terms."""
     out: Poly = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -73,6 +83,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
                 out[exp] = nc
             else:
                 out.pop(exp, None)
+        _check_terms(out)
     return out
 
 
@@ -409,6 +420,7 @@ class _Parser:
                 self._next()
                 rhs = self.term()
                 poly = poly_add(poly, poly_scale(rhs, -1 if val == "-" else 1))
+                _check_terms(poly)
             else:
                 return poly
 

@@ -21,7 +21,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .expsum import EvalRequest, descend_cosets, eval_naive
 from .grid import INT64_KEYS_MAX, find_points, tally
 from .padic import (
@@ -207,18 +207,28 @@ def _independent_mod_p(rows: list[list[int]], p: int) -> bool:
 
 def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
     """Coset descent: a coset is resolved once ``_hensel_box`` finds the box
-    it covers; each fiber in the box gets an equal share of its points."""
+    it covers; each fiber in the box gets an equal share of its points.
+
+    The walk may visit at most ctx.naive_budget coset nodes, and a box may
+    hold at most ctx.naive_budget fibers; BudgetExceededError otherwise.
+    """
     p = ctx.p
     n = f.n
     b, mod, comps = _integerized_components(f, m, p)
     m_eff = m + b
     zero = (0,) * n
     counts: dict[int, int] = {}
-    walk = descend_cosets(comps, m_eff, n, p, lambda polys: _hensel_box(polys, n, p, m_eff))
+    walk = descend_cosets(
+        comps, m_eff, n, p, lambda polys: _hensel_box(polys, n, p, m_eff), ctx.naive_budget
+    )
     for k, polys, lams in walk:
         if lams is None:
             continue
-        weight = p ** ((m_eff - k) * n - sum(m_eff - lam for lam in lams))
+        box = sum(m_eff - lam for lam in lams)  # the box has p**box fibers
+        if p**box > ctx.naive_budget:
+            # p**box may be too long to print, so report only the bound
+            raise BudgetExceededError(None, ctx.naive_budget, what="fibers in one box")
+        weight = p ** ((m_eff - k) * n - box)
         sides = [
             range(g.get(zero, 0) % p**lam, mod, p**lam) for g, lam in zip(polys, lams)
         ]
@@ -238,7 +248,8 @@ def count_fibers(
 
     ``auto`` enumerates when the effective residue space fits the budget and
     falls back to the recursive counter otherwise; ``naive`` raises on budget
-    overrun instead.
+    overrun instead.  The recursive counter has budgets of its own (see
+    ``_count_recursive``).
     """
     if m < 0:
         raise PreconditionError("level must be >= 0")

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from padicsums.cli import (
     parse_rational,
     parse_y_vector,
 )
+from padicsums.polymap import MAX_TERMS
 
 
 def run(capsys, *argv):
@@ -274,3 +279,49 @@ def test_phi_flag(capsys):
 
 def test_exit_code_5_is_never_expected():
     assert EXIT_CONSISTENCY == 5
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        # a box of 3^39 fibers used to end in a MemoryError traceback
+        (["density", "--map", "x1^2", "--level", "40"], "coset nodes"),
+        # a box of 3^99999 fibers used to end in an OverflowError traceback
+        (["density", "--map", "(x1+1)^2", "--level", "100000"], "fibers in one box"),
+        # a phase descent of unbounded size used to run on and on
+        (["eval", "--map", "x1^3+x2^3+x1*x2", "--y", "1/3^40"], "coset nodes"),
+    ],
+)
+def test_recursive_paths_keep_the_budget(capsys, argv, what):
+    code, out, err = run(capsys, *argv, "--budget", "10")
+    assert code == EXIT_BUDGET
+    assert out == "" and f"more than 10 {what} needed" in err and "Traceback" not in err
+
+
+def test_fiber_fallback_below_the_budget(capsys):
+    """64 coset nodes and 729 box cells fit a budget of 1000."""
+    argv = ["density", "--map", "x1^3+x2^2", "--level", "5"]
+    code, out, _ = run(capsys, *argv, "--budget", "1000")
+    assert code == EXIT_OK
+    assert run(capsys, *argv)[1] == out  # the grid count at the default budget
+
+
+def test_term_blow_up_is_a_parse_error(capsys):
+    many = "(x1+x2+x3+x4+x5+x6+x7+x8+x9)^16"
+    code, out, err = run(capsys, "eval", "--map", many, "--y", "1/3")
+    assert code == EXIT_PARSE
+    assert out == "" and f"more than {MAX_TERMS} terms" in err
+
+
+def test_module_entry_point_exit_codes():
+    """Real process exit codes of ``python -m padicsums``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def exit_code(*argv):
+        cmd = [sys.executable, "-m", "padicsums", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, timeout=60).returncode
+
+    assert exit_code("eval", "--map", "x1^2", "--y", "1/3") == EXIT_OK
+    assert exit_code("eval", "--map", "x1 + *", "--y", "1/3") == EXIT_PARSE
+    assert exit_code("eval", "--map", "x1^3+x2^3+x1*x2", "--y", "1/3^40", "--budget", "10") == EXIT_BUDGET

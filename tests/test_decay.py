@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from padicsums.decay import (
+    ABS_SQUARE_CLASS_LIMIT,
     DecayRecord,
+    _sample_directions,
     degree_bound_report,
     fit_alpha,
     primitive_direction_count,
@@ -11,8 +14,10 @@ from padicsums.decay import (
     sup_at_level,
 )
 from padicsums.errors import BudgetExceededError, ExactVanishingError, FitError
+from padicsums.expsum import EvalRequest, eval_recursive
 from padicsums.padic import PrimeContext
 from padicsums.polymap import SchwartzBruhat, parse_polymap
+from tests.test_expsum import make_random_sweep_instance
 
 CTX3 = PrimeContext(3)
 PHI1 = SchwartzBruhat.trivial(1)
@@ -69,6 +74,54 @@ def test_sample_strategy_is_seeded():
     a = sup_at_level(f, PHI1, 3, ("sample", 10, 7), CTX3)
     b = sup_at_level(f, PHI1, 3, ("sample", 10, 7), CTX3)
     assert (a.sup, a.argmax) == (b.sup, b.argmax)
+
+
+def _reference_record(f, phi, m, strategy, ctx):
+    """sup_at_level by one eval_recursive per direction and the
+    first-strict-max rule, with no sharing between directions."""
+    p = ctx.p
+    exhaustive = strategy == "exhaustive"
+    if exhaustive:
+        directions = primitive_directions(p, m, f.r)
+    else:
+        _, count, seed = strategy
+        directions = _sample_directions(p, m, f.r, count, seed)
+    best = None
+    for u in directions:
+        y = [Fraction(c, p**m) for c in u]
+        hist = eval_recursive(EvalRequest.of(f, y, ctx, phi)).histogram.reduced()
+        if not hist.counts:
+            continue
+        mag, err = hist.magnitude()
+        if best is None or mag > best[0]:
+            best = (mag, err, u, hist)
+    if best is None:
+        return DecayRecord(m, 0.0, 0.0, None, exhaustive, True, Fraction(0))
+    mag, err, u, hist = best
+    square = hist.abs_square().exact_rational() if len(hist.counts) <= ABS_SQUARE_CLASS_LIMIT else None
+    return DecayRecord(m, mag, err, u, exhaustive, False, square)
+
+
+def test_sup_at_level_matches_per_direction_reference():
+    rng = random.Random(108)
+    for i in range(60):
+        f, phi, m, ctx = make_random_sweep_instance(rng)
+        strategy = "exhaustive" if i % 2 else ("sample", rng.randint(1, 20), rng.randint(0, 99))
+        got = sup_at_level(f, phi, m, strategy, ctx)
+        assert got == _reference_record(f, phi, m, strategy, ctx), (f, phi, m, ctx.p, strategy)
+    # r = 2 keeps one descent per direction
+    f = parse_polymap("x1^2 + x1; x1^3", 1)
+    for strategy in ("exhaustive", ("sample", 12, 3)):
+        assert sup_at_level(f, PHI1, 2, strategy, CTX3) == _reference_record(f, PHI1, 2, strategy, CTX3)
+
+
+def test_sampled_ties_go_to_the_first_drawn_direction():
+    f = parse_polymap("x1^2", 1)
+    strategy = ("sample", 5, 7)
+    assert [u for (u,) in _sample_directions(3, 2, 1, 5, 7)] == [5, 2, 1, 8, 1]
+    rec = sup_at_level(f, PHI1, 2, strategy, CTX3)
+    assert rec.argmax == (5,)  # |E| is the same 1/3 at every unit
+    assert rec.sup == sup_at_level(f, PHI1, 2, "exhaustive", CTX3).sup
 
 
 def test_fit_alpha_square_is_exact_line():

@@ -11,7 +11,13 @@ from padicsums.expsum import (
     eval_series,
     eval_unit_directions,
 )
-from padicsums.padic import PhaseFraction, PhaseHistogram, PrimeContext, fractional_part
+from padicsums.padic import (
+    PAdicRational,
+    PhaseFraction,
+    PhaseHistogram,
+    PrimeContext,
+    fractional_part,
+)
 from padicsums.polymap import (
     PolyMap,
     RestrictedSeries,
@@ -56,6 +62,34 @@ def make_random_instance(rng, p_choices=(2, 3, 5), max_level=3, budget=200_000):
         m_eff, _ = _integer_level(req)
         if p ** (m_eff * n) <= budget:
             return req
+
+
+def make_random_sweep_instance(rng):
+    """Random one-component (f, phi, m, ctx) for unit-direction sweeps:
+    p in {2, 3, 5}, coefficients with denominators, and 40% of the time a
+    weight function of several balls, some of them outside Z_p^n."""
+    p = rng.choice((2, 3, 5))
+    n = rng.choice((1, 2))
+    poly = {}
+    for _ in range(rng.randint(1, 4)):
+        exp = tuple(rng.randint(0, 3) for _ in range(n))
+        if sum(exp) > 4:
+            continue
+        unit = rng.choice([1, 2, -1, 4, 7])
+        while unit % p == 0:
+            unit += 1
+        poly[exp] = poly.get(exp, Fraction(0)) + Fraction(unit) * Fraction(p) ** rng.randint(-1, 2)
+    poly = {k: v for k, v in poly.items() if v} or {(0,) * n: Fraction(1)}
+    phi = SchwartzBruhat.trivial(n)
+    if rng.random() < 0.4:
+        terms = []
+        for _ in range(rng.randint(2, 3)):
+            center = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, p))) for _ in range(n)]
+            weight = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            terms += SchwartzBruhat.ball(center, rng.randint(0, 2), weight).terms
+        phi = SchwartzBruhat(n, tuple(terms))
+    m = rng.randint(1, {2: 5, 3: 3, 5: 2}[p])
+    return PolyMap(n, (poly,)), phi, m, PrimeContext(p, 10**6)
 
 
 def _integer_level(req):
@@ -272,13 +306,62 @@ def test_eval_series_requires_unit_polydisc_support():
 
 
 def test_unit_sweep_matches_per_direction_eval():
-    ctx = PrimeContext(3)
-    f = parse_polymap("x1^3 + 3*x1", 1)
-    phi = SchwartzBruhat.trivial(1)
-    for m in (1, 2, 3):
+    rng = random.Random(105)
+    for _ in range(40):
+        f, phi, m, ctx = make_random_sweep_instance(rng)
+        p = ctx.p
+        units = []
         for u, hist in eval_unit_directions(f, phi, m, ctx):
-            direct = eval_recursive(EvalRequest.of(f, [Fraction(u, 3**m)], ctx))
-            assert hist == direct.histogram.reduced()
+            direct = eval_recursive(EvalRequest.of(f, [Fraction(u, p**m)], ctx, phi))
+            assert hist == direct.histogram.reduced(), (f, phi, m, p, u)
+            units.append(u)
+        assert units == [u for u in range(1, p**m) if u % p]
+
+
+def test_unit_sweep_over_given_units():
+    f = parse_polymap("x1^3 + x1^2", 1)
+    ctx = PrimeContext(3)
+    phi = SchwartzBruhat.trivial(1)
+    units = [7, 2, 7, 25, 1]
+    swept = list(eval_unit_directions(f, phi, 3, ctx, units))
+    assert [u for u, _ in swept] == units
+    full = dict(eval_unit_directions(f, phi, 3, ctx))
+    assert all(hist == full[u] for u, hist in swept)
+    with pytest.raises(ValueError):
+        list(eval_unit_directions(f, phi, 3, ctx, [3]))
+
+
+def test_negated_frequency_is_the_conjugate():
+    """E(-y) is the complex conjugate of E(y)."""
+    rng = random.Random(106)
+    for _ in range(40):
+        req = make_random_instance(rng)
+        neg = EvalRequest(req.f, req.phi, tuple(PAdicRational.of(-v.value, req.ctx.p) for v in req.y), req.ctx)
+        expected = eval_recursive(req).histogram.conjugate().reduced()
+        assert eval_recursive(neg).histogram.reduced() == expected
+
+
+def test_unit_multiple_is_the_galois_conjugate():
+    """E(u*y) = sigma_u E(y) for a unit u, where sigma_u sends zeta to zeta**u."""
+    rng = random.Random(107)
+    for _ in range(40):
+        req = make_random_instance(rng)
+        p = req.ctx.p
+        u = rng.choice([u for u in range(2, 3 * p) if u % p])
+        scaled = EvalRequest(req.f, req.phi, tuple(PAdicRational.of(u * v.value, p) for v in req.y), req.ctx)
+        expected = eval_recursive(req).histogram.galois(u).reduced()
+        assert eval_recursive(scaled).histogram.reduced() == expected
+
+
+def test_descent_node_budget():
+    f = parse_polymap("x1^3 + x2^3 + x1*x2", 2)
+    req = EvalRequest.of(f, [Fraction(1, 3**6)], PrimeContext(3, naive_budget=820))
+    assert eval_recursive(req).stats.leaves == 729  # 820 nodes: 91 splits, 729 leaves
+    tight = EvalRequest(req.f, req.phi, req.y, PrimeContext(3, naive_budget=819))
+    with pytest.raises(BudgetExceededError) as exc:
+        eval_recursive(tight)
+    assert exc.value.needed is None and exc.value.budget == 819
+    assert "more than 819 coset nodes" in str(exc.value)
 
 
 def test_unit_sweep_rejects_multi_component_maps():

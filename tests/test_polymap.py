@@ -6,6 +6,7 @@ import pytest
 from padicsums.errors import ParseError, SeriesCertificationError, SeriesFloorError
 from padicsums.padic import INFINITY
 from padicsums.polymap import (
+    MAX_TERMS,
     PolyMap,
     RestrictedSeries,
     SchwartzBruhat,
@@ -63,6 +64,15 @@ def test_parse_errors():
 
     with pytest.raises(ParseError):
         parse_polynomial("(x1", 1)
+
+
+def test_term_cap():
+    nine = "(" + "+".join(f"x{i}" for i in range(1, 10)) + ")"
+    assert len(parse_polynomial(f"{nine}^4", 9)) == 495
+    assert len(parse_polynomial(f"{nine}^4 + x10*{nine}^4", 10)) == 990
+    for text in (f"{nine}^5", f"{nine}^4*{nine}", f"{nine}^4 + x10*{nine}^4 + x11*{nine}^4"):
+        with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms"):
+            parse_polynomial(text, 11)
 
 
 def test_infer_variable_count():

@@ -72,6 +72,18 @@ def test_count_fibers_budget_and_fallback():
     assert t.counts == count_fibers(f, 2, big, strategy="naive").counts
 
 
+def test_recursive_count_budgets():
+    f = parse_polymap("(x1+1)^2", 1)
+    # the coset 1 + 3 Z_3 covers a box of 3^2 = 9 fibers mod 27
+    with pytest.raises(BudgetExceededError, match="more than 8 fibers in one box"):
+        count_fibers(f, 3, PrimeContext(3, naive_budget=8), strategy="recursive")
+    table = count_fibers(f, 3, PrimeContext(3, naive_budget=9), strategy="recursive")
+    assert table.counts == count_fibers(f, 3, PrimeContext(3), strategy="naive").counts
+    # x1^2 first descends the branch x1 = 0, one node per level
+    with pytest.raises(BudgetExceededError, match="more than 10 coset nodes"):
+        count_fibers(parse_polymap("x1^2", 1), 40, PrimeContext(3, naive_budget=10), strategy="recursive")
+
+
 def test_mass_conservation_and_refinement():
     rng = random.Random(22)
     for _ in range(25):
