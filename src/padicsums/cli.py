@@ -1,12 +1,17 @@
 """Batch command-line front end.
 
-Subcommands: eval, density, decay, fourier-check.  All randomness is seeded
-and the seed is echoed in the output; identical configuration and seed give
-byte-identical output at any worker count.
+Subcommands: eval, density, decay, fourier-check.  Each takes the shared
+flags --prime, --map/--map-file, --budget, --out and --workers plus its own
+(``_COMMANDS``); any other flag is a usage error.  --workers is accepted for
+compatibility and has no effect: every command runs in one thread.  All
+randomness is seeded and the seed is echoed in the output; identical
+configuration and seed give byte-identical output.
 
-Exit codes: 0 success, 2 parse/usage error (including a --map-file that
-cannot be read or an --out path that cannot be written), 3 budget exceeded,
-4 precondition violated, 5 internal consistency failure.
+Exit codes (``_EXIT_CODES``): 0 success, 2 parse/usage error (including a
+--map-file that cannot be read, an --out path that cannot be written, and a
+standard output that cannot be written, such as a closed pipe), 3 budget
+exceeded, 4 precondition violated, 5 internal consistency failure.  Any
+other exception is a bug: it propagates, with a traceback and exit 1.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Sequence
 
 from .decay import (
     DEFAULT_EPSILON,
+    Strategy,
     degree_bound_report,
     sup_at_level,
     write_decay_csv,
@@ -36,7 +42,7 @@ from .errors import (
 )
 from .expsum import EvalRequest, eval_naive, eval_recursive
 from .padic import DEFAULT_NAIVE_BUDGET, PrimeContext
-from .polymap import SchwartzBruhat, infer_variable_count, parse_polymap
+from .polymap import PolyMap, SchwartzBruhat, infer_variable_count, parse_polymap
 from .singular import count_fibers, fourier_check
 
 BUDGET_ENV_VAR = "PADICSUMS_BUDGET"
@@ -104,100 +110,46 @@ def parse_strategy(text: str, seed: int):
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a run (worker count excluded: it never
-    affects results)."""
+    affects results).  A command echoes the defaults for the fields of the
+    flags it does not take."""
 
     command: str
     prime: int
     map_text: str
-    phi: list | None
-    y: tuple[str, ...] | None
-    level: int | None
-    levels: tuple[int, int] | None
-    strategy: str
-    seed: int
-    epsilon: float
     budget: int
-    format: str
+    phi: list | None = None
+    y: tuple[str, ...] | None = None
+    level: int | None = None
+    levels: tuple[int, int] | None = None
+    strategy: str = "exhaustive"
+    seed: int = 0
+    epsilon: float = DEFAULT_EPSILON
+    format: str = "json"
 
     def to_json_dict(self) -> dict:
         return {
-            "command": self.command,
-            "prime": self.prime,
-            "map": self.map_text,
-            "phi": self.phi,
-            "y": list(self.y) if self.y is not None else None,
-            "level": self.level,
-            "levels": list(self.levels) if self.levels is not None else None,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "budget": self.budget,
-            "format": self.format,
+            "map" if k == "map_text" else k: list(v) if isinstance(v, tuple) else v
+            for k, v in vars(self).items()
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
-        return cls(
-            command=d["command"],
-            prime=d["prime"],
-            map_text=d["map"],
-            phi=d["phi"],
-            y=tuple(d["y"]) if d["y"] is not None else None,
-            level=d["level"],
-            levels=tuple(d["levels"]) if d["levels"] is not None else None,
-            strategy=d["strategy"],
-            seed=d["seed"],
-            epsilon=d["epsilon"],
-            budget=d["budget"],
-            format=d["format"],
-        )
+        return cls(**{
+            "map_text" if k == "map" else k: tuple(v) if k in ("y", "levels") and v else v
+            for k, v in d.items()
+        })
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="padicsums",
-        description="Exact p-adic oscillatory sums, densities, and decay reports.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class _Run:
+    """A command's parsed inputs (defaults for the flags it does not take)."""
 
-    def common(sp):
-        sp.add_argument("--prime", type=int, default=3, help="the prime p (default 3)")
-        sp.add_argument("--map", help="semicolon-separated polynomials in x1..xn")
-        sp.add_argument("--map-file", help="file containing the map text")
-        sp.add_argument("--phi", help="JSON list of weighted balls; default: unit polydisc")
-        sp.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            help=f"max enumeration size (default ${BUDGET_ENV_VAR} or {DEFAULT_NAIVE_BUDGET})",
-        )
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampling strategies")
-        sp.add_argument(
-            "--workers", type=int, default=1, help="accepted for compatibility; no effect"
-        )
-        sp.add_argument("--out", help="output path (decay: prefix for .csv/.json)")
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
-
-    sp = sub.add_parser("eval", help="evaluate E(y) exactly")
-    common(sp)
-    sp.add_argument("--y", required=True, help="comma-separated rationals, e.g. 1/3,2/9 or 2/3^2")
-    sp.add_argument("--method", choices=["recursive", "naive"], default="recursive")
-
-    sp = sub.add_parser("density", help="fiber counts and densities at one level")
-    common(sp)
-    sp.add_argument("--level", type=int, required=True)
-
-    sp = sub.add_parser("decay", help="level sweep, exponent fit, envelope report")
-    common(sp)
-    sp.add_argument("--levels", required=True, help="range m0..m1")
-    sp.add_argument("--strategy", default="exhaustive", help="'exhaustive' or 'sample:N'")
-    sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-
-    sp = sub.add_parser("fourier-check", help="exact fiber-regrouping identity residual")
-    common(sp)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--level", type=int, required=True)
-    return parser
+    config: RunConfig
+    f: PolyMap
+    phi: SchwartzBruhat
+    ctx: PrimeContext
+    y: tuple[Fraction, ...] | None
+    strategy: Strategy | None
 
 
 def _load_map_text(args) -> str:
@@ -225,6 +177,28 @@ def _budget(args) -> int:
     return DEFAULT_NAIVE_BUDGET
 
 
+def _setup(args) -> _Run:
+    """Parse the map and then each input the command takes, so the first
+    bad one is the one reported, and build the context and the config."""
+    given = vars(args)  # holds exactly the flags of args.command
+    map_text = _load_map_text(args)
+    n = infer_variable_count(map_text)
+    f = parse_polymap(map_text, n)
+    phi = parse_phi(given.get("phi"), n)
+    y = parse_y_vector(args.y) if "y" in given else None
+    levels = parse_levels(args.levels) if "levels" in given else None
+    strategy = parse_strategy(args.strategy, args.seed) if "strategy" in given else None
+    ctx = PrimeContext(args.prime, _budget(args))
+    config = RunConfig(
+        args.command, args.prime, map_text, ctx.naive_budget,
+        phi=phi.to_json_list() if given.get("phi") else None,
+        y=tuple(str(v) for v in y) if y is not None else None,
+        levels=levels,
+        **{k: given[k] for k in ("level", "strategy", "seed", "epsilon", "format") if k in given},
+    )
+    return _Run(config, f, phi, ctx, y, strategy)
+
+
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -235,35 +209,28 @@ def _write(path: str, text: str) -> None:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         _write(out_path, text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except OSError:
+        # The reader is gone.  The unwritten bytes stay buffered, so point the
+        # descriptor at the null device for the interpreter's flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ParseError("cannot write standard output") from None
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _cmd_eval(args) -> int:
-    map_text = _load_map_text(args)
-    n = infer_variable_count(map_text)
-    f = parse_polymap(map_text, n)
-    phi = parse_phi(args.phi, n)
-    y = parse_y_vector(args.y)
-    ctx = PrimeContext(args.prime, _budget(args))
-    config = RunConfig(
-        "eval", args.prime, map_text, phi.to_json_list() if args.phi else None,
-        tuple(str(v) for v in y), None, None, "exhaustive", args.seed,
-        DEFAULT_EPSILON, ctx.naive_budget, args.format or "json",
-    )
-    req = EvalRequest.of(f, y, ctx, phi)
+def _cmd_eval(args, run: _Run) -> None:
     evaluate = eval_naive if args.method == "naive" else eval_recursive
-    result = evaluate(req, workers=args.workers)
+    result = evaluate(EvalRequest.of(run.f, run.y, run.ctx, run.phi))
     hist = result.histogram.reduced()
     mag, err = hist.magnitude()
     payload = {
-        "config": config.to_json_dict(),
+        "config": run.config.to_json_dict(),
         "histogram": hist.to_json_dict(),
         "magnitude": mag,
         "magnitude_error": err,
@@ -271,48 +238,23 @@ def _cmd_eval(args) -> int:
         "pruning_stats": result.stats.to_json_dict(),
     }
     _emit(_json_dumps(payload), args.out)
-    return EXIT_OK
 
 
-def _cmd_density(args) -> int:
-    map_text = _load_map_text(args)
-    n = infer_variable_count(map_text)
-    f = parse_polymap(map_text, n)
-    ctx = PrimeContext(args.prime, _budget(args))
-    fmt = args.format or "csv"
-    config = RunConfig(
-        "density", args.prime, map_text, None, None, args.level, None,
-        "exhaustive", args.seed, DEFAULT_EPSILON, ctx.naive_budget, fmt,
-    )
-    table = count_fibers(f, args.level, ctx)
-    if fmt == "csv":
+def _cmd_density(args, run: _Run) -> None:
+    table = count_fibers(run.f, args.level, run.ctx)
+    if args.format == "csv":
         buf = StringIO()
         table.write_csv(buf)
         _emit(buf.getvalue(), args.out)
     else:
-        payload = {"config": config.to_json_dict(), "table": table.to_json_dict()}
+        payload = {"config": run.config.to_json_dict(), "table": table.to_json_dict()}
         _emit(_json_dumps(payload), args.out)
-    return EXIT_OK
 
 
-def _cmd_decay(args) -> int:
-    map_text = _load_map_text(args)
-    n = infer_variable_count(map_text)
-    f = parse_polymap(map_text, n)
-    phi = parse_phi(args.phi, n)
-    m0, m1 = parse_levels(args.levels)
-    strategy = parse_strategy(args.strategy, args.seed)
-    ctx = PrimeContext(args.prime, _budget(args))
-    config = RunConfig(
-        "decay", args.prime, map_text, phi.to_json_list() if args.phi else None,
-        None, None, (m0, m1), args.strategy, args.seed, args.epsilon,
-        ctx.naive_budget, args.format or "json",
-    )
-    records = [
-        sup_at_level(f, phi, m, strategy, ctx, workers=args.workers)
-        for m in range(m0, m1 + 1)
-    ]
-    report = degree_bound_report(f, records, ctx, epsilon=args.epsilon)
+def _cmd_decay(args, run: _Run) -> None:
+    m0, m1 = run.config.levels
+    records = [sup_at_level(run.f, run.phi, m, run.strategy, run.ctx) for m in range(m0, m1 + 1)]
+    report = degree_bound_report(run.f, records, run.ctx, epsilon=args.epsilon)
     fit = report.fit
     if fit is None:
         fit_dict = {"error": report.fit_error, "verdict": report.verdict}
@@ -327,7 +269,7 @@ def _cmd_decay(args) -> int:
             "verdict": report.verdict,
         }
     payload = {
-        "config": config.to_json_dict(),
+        "config": run.config.to_json_dict(),
         "records": [rec.to_json_dict() for rec in records],
         "fit": fit_dict,
         "report": report.to_json_dict(),
@@ -338,69 +280,90 @@ def _cmd_decay(args) -> int:
         _write(args.out + ".json", _json_dumps(payload))
         _write(args.out + ".csv", csv_buf.getvalue())
     else:
-        sys.stdout.write(csv_buf.getvalue())
-        sys.stdout.write(_json_dumps(payload) + "\n")
+        _emit(csv_buf.getvalue() + _json_dumps(payload), None)
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_fourier_check(args) -> int:
-    map_text = _load_map_text(args)
-    n = infer_variable_count(map_text)
-    f = parse_polymap(map_text, n)
-    y = parse_y_vector(args.y)
-    ctx = PrimeContext(args.prime, _budget(args))
-    config = RunConfig(
-        "fourier-check", args.prime, map_text, None, tuple(str(v) for v in y),
-        args.level, None, "exhaustive", args.seed, DEFAULT_EPSILON,
-        ctx.naive_budget, args.format or "json",
-    )
-    residual = fourier_check(f, y, args.level, ctx)
-    reduced = residual.reduced()
+def _cmd_fourier_check(args, run: _Run) -> None:
+    reduced = fourier_check(run.f, run.y, args.level, run.ctx).reduced()
     is_zero = reduced.is_zero()
     payload = {
-        "config": config.to_json_dict(),
+        "config": run.config.to_json_dict(),
         "residual": reduced.to_json_dict(),
         "is_zero": is_zero,
     }
     _emit(_json_dumps(payload), args.out)
     if not is_zero:
         raise ConsistencyError("fourier residual is nonzero")
-    return EXIT_OK
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "density": _cmd_density,
-    "decay": _cmd_decay,
-    "fourier-check": _cmd_fourier_check,
+#: name -> (handler, help, the flags it takes besides the shared ones)
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate E(y) exactly", ("y", "phi", "method")),
+    "density": (_cmd_density, "fiber counts and densities at one level", ("level", "format")),
+    "decay": (_cmd_decay, "level sweep, exponent fit, envelope report",
+              ("levels", "phi", "strategy", "seed", "epsilon")),
+    "fourier-check": (_cmd_fourier_check, "exact fiber-regrouping identity residual",
+                      ("y", "level")),
 }
+
+#: Exit code of each failure, first match wins (ParseError and
+#: PreconditionError are ValueErrors).  Any other exception is a bug and
+#: propagates with exit 1.
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),  # also unreadable input and unwritable output
+    (BudgetExceededError, EXIT_BUDGET),
+    (PreconditionError, EXIT_PRECONDITION),
+    (ConsistencyError, EXIT_CONSISTENCY),
+    (ValueError, EXIT_PARSE),  # other bad input values, e.g. a --prime that is not prime
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    flags = {
+        "prime": dict(type=int, default=3, help="the prime p (default 3)"),
+        "map": dict(help="semicolon-separated polynomials in x1..xn"),
+        "map-file": dict(help="file containing the map text"),
+        "budget": dict(
+            type=int,
+            help=f"max enumeration size (default ${BUDGET_ENV_VAR} or {DEFAULT_NAIVE_BUDGET})",
+        ),
+        "out": dict(help="output path (decay: prefix for .csv/.json)"),
+        "workers": dict(type=int, default=1, help="accepted for compatibility; no effect"),
+        "y": dict(required=True, help="comma-separated rationals, e.g. 1/3,2/9 or 2/3^2"),
+        "phi": dict(help="JSON list of weighted balls; default: unit polydisc"),
+        "method": dict(choices=["recursive", "naive"], default="recursive"),
+        "level": dict(type=int, required=True),
+        "format": dict(choices=["json", "csv"], default="csv"),
+        "levels": dict(required=True, help="range m0..m1"),
+        "strategy": dict(default="exhaustive", help="'exhaustive' or 'sample:N'"),
+        "seed": dict(type=int, default=0, help="seed for sampling strategies"),
+        "epsilon": dict(type=float, default=DEFAULT_EPSILON),
+    }
+    parser = argparse.ArgumentParser(
+        prog="padicsums",
+        description="Exact p-adic oscillatory sums, densities, and decay reports.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, own) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in ("prime", "map", "map-file", "budget", "out", "workers") + own:
+            sp.add_argument(f"--{flag}", **flags[flag])
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        return _HANDLERS[args.command](args)
-    except ParseError as exc:
+        _COMMANDS[args.command][0](args, _setup(args))
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -73,6 +73,8 @@ class FitResult:
     c_hat: float
     c_hat_square: Fraction | None
     zero_levels: list[int]
+    degree: DegreeData
+    ratios: list[tuple[int, float]]  # (m, the least c the record at m needs)
 
 
 def primitive_directions(p: int, m: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -111,7 +113,6 @@ def sup_at_level(
     m: int,
     strategy: Strategy,
     ctx: PrimeContext,
-    workers: int = 1,
 ) -> DecayRecord:
     """Max of |E(u/p**m)| over primitive directions at level m.
 
@@ -161,7 +162,7 @@ def sup_at_level(
 
         def _evaluate(u: tuple[int, ...]) -> PhaseHistogram:
             y = [Fraction(c, mod) for c in u]
-            return eval_recursive(EvalRequest.of(f, y, ctx, phi), workers).histogram.reduced()
+            return eval_recursive(EvalRequest.of(f, y, ctx, phi)).histogram.reduced()
 
         iterator = ((u, _evaluate(u)) for u in directions)
 
@@ -198,7 +199,6 @@ def fit_alpha(
     are compared exactly, so clean cases report c_hat without rounding.
     """
     p = ctx.p
-    deg = degree_data(f, p)
     if window is None:
         levels = [rec.level for rec in records]
         window = (min(levels), max(levels))
@@ -217,8 +217,8 @@ def fit_alpha(
     residual = math.sqrt(
         math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     )
-    bound_exponent = None if deg.d_max == 0 else -1.0 / deg.d_max
-    c_hat, c_hat_square = _envelope_constant(usable, deg, f.n, p)
+    deg, bound_exponent, ratios = _envelope(usable, f, p)
+    c_hat, c_hat_square = _envelope_constant(usable, ratios, deg.d_max, f.n, p)
     return FitResult(
         alpha_hat=slope,
         intercept=intercept,
@@ -228,36 +228,45 @@ def fit_alpha(
         c_hat=c_hat,
         c_hat_square=c_hat_square,
         zero_levels=zero_levels,
+        degree=deg,
+        ratios=ratios,
     )
 
 
-def _envelope_constant(
-    records: Sequence[DecayRecord], deg: DegreeData, n: int, p: int
-) -> tuple[float, Fraction | None]:
-    """max over records of sup * p**(m/d) / m**(n-1), exact when possible."""
+def _envelope(
+    usable: Sequence[DecayRecord], f: PolyMap, p: int
+) -> tuple[DegreeData, float | None, list[tuple[int, float]]]:
+    """The degree data of f, the exponent -1/d(f) (None when f is constant)
+    and, for each nonzero record, (m, sup * p**(m/d) / m**(n-1)): the least
+    c for which that record satisfies the envelope."""
+    deg = degree_data(f, p)
     d = deg.d_max
     if d == 0:
+        return deg, None, []
+    ratios = [
+        (rec.level, rec.sup * p ** (rec.level / d) / rec.level ** (f.n - 1)) for rec in usable
+    ]
+    return deg, -1.0 / d, ratios
+
+
+def _envelope_constant(
+    usable: Sequence[DecayRecord], ratios: list[tuple[int, float]], d: int, n: int, p: int
+) -> tuple[float, Fraction | None]:
+    """The largest of the ratios, exact when every record allows it."""
+    if d == 0:
         return 0.0, None
-    best_float = 0.0
-    best_square: Fraction | None = Fraction(0)
-    for rec in records:
-        ratio_f = rec.sup * p ** (rec.level / d) / rec.level ** (n - 1)
-        best_float = max(best_float, ratio_f)
-        if best_square is not None and rec.sup_square is not None and (2 * rec.level) % d == 0:
-            ratio_sq = (
-                rec.sup_square
-                * Fraction(p) ** (2 * rec.level // d)
-                / Fraction(rec.level) ** (2 * (n - 1))
-            )
-            best_square = max(best_square, ratio_sq)
-        else:
-            best_square = None
-    if best_square is not None:
-        root = _exact_sqrt(best_square)
-        if root is not None:
-            return float(root), best_square
-        return math.sqrt(best_square), best_square
-    return best_float, None
+    best_square = Fraction(0)
+    for rec in usable:
+        if rec.sup_square is None or (2 * rec.level) % d:
+            return max(ratio for _, ratio in ratios), None
+        ratio_square = (
+            rec.sup_square
+            * Fraction(p) ** (2 * rec.level // d)
+            / Fraction(rec.level) ** (2 * (n - 1))
+        )
+        best_square = max(best_square, ratio_square)
+    root = _exact_sqrt(best_square)
+    return (float(root) if root is not None else math.sqrt(best_square)), best_square
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -322,8 +331,6 @@ def degree_bound_report(
     satisfies the envelope with c = c_hat).  Degenerate inputs produce
     banners in ``notes``, never failures.
     """
-    p = ctx.p
-    deg = degree_data(f, p)
     notes: list[str] = []
     hypothesis_ok = check_affine_independence(f)
     if not hypothesis_ok:
@@ -331,23 +338,15 @@ def degree_bound_report(
             "HYPOTHESIS FAILED: 1, f_1, ..., f_r are linearly dependent; "
             "the degree-based envelope is not asserted for this map"
         )
-    d = deg.d_max
-    bound_exponent = None if d == 0 else -1.0 / d
-    if d == 0:
-        notes.append("map is constant: no envelope exponent is defined")
     usable = [rec for rec in records if not rec.exact_zero]
-    ratios: list[tuple[int, float]] = []
-    if d > 0:
-        for rec in usable:
-            ratios.append(
-                (rec.level, rec.sup * p ** (rec.level / d) / rec.level ** (f.n - 1))
-            )
-    fit: FitResult | None = None
-    fit_error: str | None = None
     try:
-        fit = fit_alpha(records, f, ctx)
+        fit, fit_error = fit_alpha(records, f, ctx), None
+        deg, bound_exponent, ratios = fit.degree, fit.bound_exponent, fit.ratios
     except FitError as exc:
-        fit_error = str(exc)
+        fit, fit_error = None, str(exc)
+        deg, bound_exponent, ratios = _envelope(usable, f, ctx.p)
+    if deg.d_max == 0:
+        notes.append("map is constant: no envelope exponent is defined")
     if not usable:
         verdict = "VACUOUS"
         notes.append("every recorded supremum is exactly zero")
@@ -364,7 +363,7 @@ def degree_bound_report(
         if not hypothesis_ok:
             notes.append("verdict reported on data only; hypothesis does not hold")
     return DecayReport(
-        hypothesis_ok, d, deg.e_orders, epsilon, bound_exponent,
+        hypothesis_ok, deg.d_max, deg.e_orders, epsilon, bound_exponent,
         ratios, verdict, notes, fit, fit_error,
     )
 

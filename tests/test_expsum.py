@@ -369,14 +369,3 @@ def test_unit_sweep_rejects_multi_component_maps():
     f = parse_polymap("x1; x1^2", 1)
     with pytest.raises(ValueError):
         list(eval_unit_directions(f, SchwartzBruhat.trivial(1), 1, ctx))
-
-
-def test_workers_do_not_change_results():
-    rng = random.Random(104)
-    for _ in range(10):
-        req = make_random_instance(rng)
-        h1 = eval_recursive(req, workers=1)
-        h8 = eval_recursive(req, workers=8)
-        assert h1.histogram == h8.histogram
-        assert h1.histogram.to_json() == h8.histogram.to_json()
-        assert h1.stats == h8.stats
