@@ -31,12 +31,10 @@ from .expsum import (
     eval_unit_directions,
 )
 from .padic import (
-    PAdicRational,
     PhaseFraction,
     PhaseHistogram,
     PrimeContext,
     fractional_part,
-    norm,
     valuation,
 )
 from .polymap import (
@@ -47,7 +45,6 @@ from .polymap import (
     SchwartzBruhat,
     check_affine_independence,
     degree_data,
-    eval_mod,
     parse_polymap,
     series_truncate,
 )

@@ -45,8 +45,6 @@ from .padic import DEFAULT_NAIVE_BUDGET, PrimeContext
 from .polymap import PolyMap, SchwartzBruhat, infer_variable_count, parse_polymap
 from .singular import count_fibers, fourier_check
 
-BUDGET_ENV_VAR = "PADICSUMS_BUDGET"
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
@@ -57,18 +55,25 @@ _Y_SUGAR = re.compile(r"^(-?\d+)/(\d+)\^(\d+)$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Rationals 'a/b' plus the sugar 'u/p^m' for u / p**m."""
+    """Rationals 'a/b' plus the sugar 'u/p^m' for u / p**m.  Every y is echoed
+    in the output, so one too long to print is a ParseError too."""
     text = text.strip()
     m = _Y_SUGAR.match(text)
     if m:
         u, base, exp = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if base < 2:
             raise ParseError(f"bad denominator base in {text!r}")
-        return Fraction(u, base ** exp)
+        value = Fraction(u, base ** exp)
+    else:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational {text!r}: {exc}") from None
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+        str(value)
+    except ValueError:  # more digits than the interpreter converts to text
+        raise ParseError(f"rational {text!r} is too long to print") from None
+    return value
 
 
 def parse_y_vector(text: str) -> tuple[Fraction, ...]:
@@ -132,13 +137,6 @@ class RunConfig:
             for k, v in vars(self).items()
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunConfig":
-        return cls(**{
-            "map_text" if k == "map" else k: tuple(v) if k in ("y", "levels") and v else v
-            for k, v in d.items()
-        })
-
 
 @dataclass(frozen=True)
 class _Run:
@@ -165,18 +163,6 @@ def _load_map_text(args) -> str:
     raise ParseError("a polynomial map is required (--map or --map-file)")
 
 
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"bad {BUDGET_ENV_VAR} value {env!r}") from None
-    return DEFAULT_NAIVE_BUDGET
-
-
 def _setup(args) -> _Run:
     """Parse the map and then each input the command takes, so the first
     bad one is the one reported, and build the context and the config."""
@@ -188,7 +174,7 @@ def _setup(args) -> _Run:
     y = parse_y_vector(args.y) if "y" in given else None
     levels = parse_levels(args.levels) if "levels" in given else None
     strategy = parse_strategy(args.strategy, args.seed) if "strategy" in given else None
-    ctx = PrimeContext(args.prime, _budget(args))
+    ctx = PrimeContext(args.prime, args.budget)
     config = RunConfig(
         args.command, args.prime, map_text, ctx.naive_budget,
         phi=phi.to_json_list() if given.get("phi") else None,
@@ -209,10 +195,15 @@ def _write(path: str, text: str) -> None:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         _write(out_path, text)
-        return
+    else:
+        _write_stdout(text if text.endswith("\n") else text + "\n")
+
+
+def _write_stdout(text: str) -> None:
+    """Write and flush, so that a closed pipe fails here, not at exit."""
     try:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError:
         # The reader is gone.  The unwritten bytes stay buffered, so point the
         # descriptor at the null device for the interpreter's flush at exit.
@@ -327,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "map-file": dict(help="file containing the map text"),
         "budget": dict(
             type=int,
-            help=f"max enumeration size (default ${BUDGET_ENV_VAR} or {DEFAULT_NAIVE_BUDGET})",
+            default=DEFAULT_NAIVE_BUDGET,
+            help=f"max enumeration size (default {DEFAULT_NAIVE_BUDGET})",
         ),
         "out": dict(help="output path (decay: prefix for .csv/.json)"),
         "workers": dict(type=int, default=1, help="accepted for compatibility; no effect"),
@@ -353,12 +345,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    try:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:  # after --help, or a usage error on stderr
+            _write_stdout("")  # the help text may still be in the buffer
+            return exc.code if isinstance(exc.code, int) else EXIT_PARSE
         _COMMANDS[args.command][0](args, _setup(args))
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,7 +68,6 @@ class FitResult:
     alpha_hat: float
     intercept: float
     residual: float
-    window: tuple[int, int]
     bound_exponent: float | None  # -1/d(f)
     c_hat: float
     c_hat_square: Fraction | None
@@ -189,9 +188,9 @@ def fit_alpha(
     records: Sequence[DecayRecord],
     f: PolyMap,
     ctx: PrimeContext,
-    window: tuple[int, int] | None = None,
 ) -> FitResult:
-    """Least-squares slope of log_p(sup) against m over the window.
+    """Least-squares slope of log_p(sup) against m over the window of levels
+    the records cover.
 
     Also computes c_hat, the smallest constant for which every usable data
     point satisfies sup <= c * m**(n-1) * p**(-m/d(f)); when the achieved
@@ -199,12 +198,8 @@ def fit_alpha(
     are compared exactly, so clean cases report c_hat without rounding.
     """
     p = ctx.p
-    if window is None:
-        levels = [rec.level for rec in records]
-        window = (min(levels), max(levels))
-    in_window = [rec for rec in records if window[0] <= rec.level <= window[1]]
-    zero_levels = [rec.level for rec in in_window if rec.exact_zero]
-    usable = [rec for rec in in_window if not rec.exact_zero]
+    zero_levels = [rec.level for rec in records if rec.exact_zero]
+    usable = [rec for rec in records if not rec.exact_zero]
     if not usable:
         raise ExactVanishingError(
             "every record in the window is exactly zero; nothing to fit"
@@ -223,7 +218,6 @@ def fit_alpha(
         alpha_hat=slope,
         intercept=intercept,
         residual=residual,
-        window=window,
         bound_exponent=bound_exponent,
         c_hat=c_hat,
         c_hat_square=c_hat_square,

@@ -7,6 +7,11 @@ consistency failures are the four externally visible failure modes.
 
 from __future__ import annotations
 
+#: Most decimal digits of a coefficient the parser builds (a longer literal or
+#: product is a ParseError) and of a count an error message states exactly (a
+#: longer one is given only as "more than" the budget).
+MAX_DIGITS = 50
+
 
 class PadicSumsError(Exception):
     """Base class for all package errors."""
@@ -26,13 +31,15 @@ class BudgetExceededError(PadicSumsError):
     """An enumeration would visit more points than the configured budget.
 
     ``needed`` is None when the work was stopped on passing the budget, so
-    only "more than ``budget``" is known.
+    only "more than ``budget``" is known.  The message states ``needed``
+    exactly only while it has at most MAX_DIGITS digits.
     """
 
     def __init__(self, needed: int | None, budget: int, what: str = "points"):
         self.needed = needed
         self.budget = budget
-        amount = f"more than {budget}" if needed is None else needed
+        short = needed is not None and needed < 10**MAX_DIGITS
+        amount = needed if short else f"more than {budget}"
         super().__init__(f"budget exceeded: {amount} {what} needed, budget is {budget}")
 
 

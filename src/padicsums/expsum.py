@@ -33,19 +33,12 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
 from .grid import IntPoly, tally
-from .padic import (
-    INFINITY,
-    PAdicRational,
-    PhaseHistogram,
-    PrimeContext,
-    Rational,
-)
+from .padic import INFINITY, PhaseHistogram, PrimeContext, Rational, valuation
 from .polymap import (
     Poly,
     PolyMap,
     RestrictedSeries,
     SchwartzBruhat,
-    coefficient_floor,
     min_coefficient_valuation,
     poly_add,
     poly_mod_int,
@@ -91,7 +84,7 @@ class EvalRequest:
 
     f: PolyMap
     phi: SchwartzBruhat
-    y: tuple[PAdicRational, ...]
+    y: tuple[Fraction, ...]
     ctx: PrimeContext
 
     def __post_init__(self):
@@ -111,26 +104,20 @@ class EvalRequest:
         return cls(
             f,
             phi if phi is not None else SchwartzBruhat.trivial(f.n),
-            tuple(PAdicRational.of(v, ctx.p) for v in y),
+            tuple(Fraction(v) for v in y),
             ctx,
         )
 
     @property
     def level(self) -> int:
         """m = max(0, max_j -v(y_j)): the frequency level |y| = p**m."""
-        finite = [-r.v for r in self.y if r.v is not INFINITY]
-        return max(0, max(finite, default=0))
-
-    @property
-    def effective_level(self) -> int:
-        """m + B: the modulus exponent that determines all phases on Z_p^n."""
-        return self.level + coefficient_floor(self.f.components, self.ctx.p)
+        return max(0, max((-valuation(v, self.ctx.p) for v in self.y if v), default=0))
 
     def phase_poly(self) -> Poly:
         g: Poly = {}
         for yj, comp in zip(self.y, self.f.components):
-            if yj.value:
-                g = poly_add(g, poly_scale(comp, yj.value))
+            if yj:
+                g = poly_add(g, poly_scale(comp, yj))
         return g
 
 

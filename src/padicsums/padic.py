@@ -31,7 +31,7 @@ from typing import Iterable
 INFINITY = math.inf
 
 #: Default cap on the number of residue tuples a brute-force enumeration may
-#: visit.  Overridable per context and via the CLI / environment.
+#: visit.  Overridable per context and via the CLI.
 DEFAULT_NAIVE_BUDGET = 1_000_000
 
 #: Constant in the reported absolute error bound of ``magnitude``:
@@ -79,14 +79,6 @@ def valuation(x: Rational, p: int) -> int | float:
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
 
-def norm(x: Rational, p: int) -> Fraction:
-    """p-adic norm p**(-v(x)) as an exact rational; |0| = 0."""
-    v = valuation(x, p)
-    if v == INFINITY:
-        return Fraction(0)
-    return Fraction(p) ** (-v)
-
-
 @dataclass(frozen=True)
 class PrimeContext:
     """The prime, plus global budgets shared by all enumeration strategies."""
@@ -99,24 +91,6 @@ class PrimeContext:
             raise ValueError(f"p = {self.p} is not prime")
         if self.naive_budget < 1:
             raise ValueError("naive_budget must be >= 1")
-
-
-@dataclass(frozen=True)
-class PAdicRational:
-    """A rational number viewed inside Q_p, with its valuation cached."""
-
-    value: Fraction
-    v: int | float
-
-    @classmethod
-    def of(cls, x: Rational, p: int) -> "PAdicRational":
-        x = Fraction(x)
-        return cls(x, valuation(x, p))
-
-    def norm(self, p: int) -> Fraction:
-        if self.v == INFINITY:
-            return Fraction(0)
-        return Fraction(p) ** (-self.v)
 
 
 @dataclass(frozen=True)
@@ -390,7 +364,3 @@ class PhaseHistogram:
             {int(k): int(c) for k, c in d["counts"].items()},
             Fraction(d["scale"]),
         )
-
-    @classmethod
-    def from_json(cls, s: str) -> "PhaseHistogram":
-        return cls.from_json_dict(json.loads(s))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ParseError, SeriesCertificationError, SeriesFloorError
+from .errors import MAX_DIGITS, ParseError, SeriesCertificationError, SeriesFloorError
 from .padic import INFINITY, Rational, valuation
 
 Exponent = tuple[int, ...]
@@ -27,7 +27,9 @@ MAX_EXPONENT = 4096
 MAX_NESTING = 100
 
 #: Most terms a polynomial built by the parser may have; products and powers
-#: are checked while they expand (guards term blow-up).
+#: are checked while they expand (guards term blow-up).  Their coefficients,
+#: and every integer literal, are held to MAX_DIGITS digits (guards coefficient
+#: blow-up).
 MAX_TERMS = 1000
 
 #: Degree bound up to which a series valuation floor is searched before the
@@ -73,13 +75,17 @@ def _check_terms(a: Poly) -> None:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    """a * b; ParseError as soon as the partial product passes MAX_TERMS terms."""
+    """a * b; ParseError as soon as the partial product passes MAX_TERMS terms
+    or a coefficient passes MAX_DIGITS digits."""
+    bound = 10**MAX_DIGITS
     out: Poly = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             exp = tuple(x + y for x, y in zip(e1, e2))
             nc = out.get(exp, Fraction(0)) + c1 * c2
             if nc:
+                if abs(nc.numerator) >= bound or nc.denominator >= bound:
+                    raise ParseError(f"coefficient has more than {MAX_DIGITS} digits")
                 out[exp] = nc
             else:
                 out.pop(exp, None)
@@ -323,29 +329,6 @@ def jacobian(f: PolyMap) -> tuple[tuple[Poly, ...], ...]:
     )
 
 
-def eval_mod(f: PolyMap, x: Sequence[int], m: int, p: int) -> tuple[Fraction, ...]:
-    """f(x) to the precision that makes y . f(x) exact mod Z_p for v(y) >= -m.
-
-    Arithmetic is carried mod p**(m+B) where p**B clears the coefficient
-    denominators; each returned component is the canonical representative
-    in [0, p**m) with denominator p**B.
-    """
-    b = coefficient_floor(f.components, p)
-    mod = p ** (m + b)
-    out = []
-    for comp in f.components:
-        g = poly_mod_int(comp, p, b, mod)
-        total = 0
-        for exp, c in g.items():
-            term = c
-            for xi, e in zip(x, exp):
-                if e:
-                    term = term * pow(xi, e, mod) % mod
-            total = (total + term) % mod
-        out.append(Fraction(total, p**b))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------- parser
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^()/]))")
@@ -443,24 +426,29 @@ class _Parser:
                 kind, val, pos = self._next()
                 if kind != "int":
                     raise ParseError("expected integer exponent", pos)
-                e = int(val)
+                e = self._int(val, pos)
                 if e > MAX_EXPONENT:
                     raise ParseError(f"exponent {e} exceeds limit {MAX_EXPONENT}", pos)
                 poly = poly_pow(poly, e, self.n)
             else:
                 return poly
 
+    def _int(self, val: str, pos: int) -> int:
+        if len(val) > MAX_DIGITS:
+            raise ParseError(f"integer has more than {MAX_DIGITS} digits", pos)
+        return int(val)
+
     def base(self) -> Poly:
         kind, val, pos = self._next()
         if kind == "int":
-            num = int(val)
+            num = self._int(val, pos)
             kind2, val2, _ = self._peek()
             if kind2 == "op" and val2 == "/":
                 self._next()
                 kind3, val3, pos3 = self._next()
                 if kind3 != "int":
                     raise ParseError("expected integer denominator", pos3)
-                den = int(val3)
+                den = self._int(val3, pos3)
                 if den == 0:
                     raise ParseError("zero denominator", pos3)
                 return poly_const(self.n, Fraction(num, den))
@@ -637,7 +625,7 @@ class SchwartzBruhat:
         ]
 
     @classmethod
-    def from_json_list(cls, data: list, n: int | None = None) -> "SchwartzBruhat":
+    def from_json_list(cls, data: list, n: int) -> "SchwartzBruhat":
         terms = tuple(
             BallTerm(
                 tuple(Fraction(c) for c in d["center"]),
@@ -648,4 +636,4 @@ class SchwartzBruhat:
         )
         if not terms:
             raise ValueError("phi needs at least one ball term")
-        return cls(n if n is not None else len(terms[0].center), terms)
+        return cls(n, terms)

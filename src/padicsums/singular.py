@@ -43,6 +43,10 @@ from .polymap import (
 
 FiberKey = tuple[Fraction, ...] | tuple[int, ...]
 
+#: Preimages of the top level at which ``stabilization_probe`` reads the
+#: Jacobian rank.
+PREIMAGE_SAMPLE_LIMIT = 16
+
 
 @dataclass
 class DensityTable:
@@ -336,13 +340,13 @@ def stabilization_probe(
     z: Sequence[int],
     m_range: tuple[int, int],
     ctx: PrimeContext,
-    sample_limit: int = 16,
 ) -> StabilizationReport:
     """Track F_m(z) over [m0, m1] and flag whether it stabilizes.
 
     Full Jacobian rank at every preimage is the computational signature of a
     regular value, for which the density is expected to become constant in m.
-    The ranks are evidence only: preimages are known only mod p**m1.
+    The ranks are read at the first ``PREIMAGE_SAMPLE_LIMIT`` preimages in lex
+    order, and are evidence only: preimages are known only mod p**m1.
     """
     m0, m1 = m_range
     if not (1 <= m0 <= m1):
@@ -364,7 +368,7 @@ def stabilization_probe(
             stable_from = levels[i]
             break
     stable = stable_from is not None and stable_from < m1
-    preimages = _preimages(f, zt, m1, ctx, sample_limit)
+    preimages = _preimages(f, zt, m1, ctx, PREIMAGE_SAMPLE_LIMIT)
     jac = jacobian(f)
     ranks = []
     pivot_vals = []

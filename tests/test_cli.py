@@ -15,11 +15,12 @@ from padicsums.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
-    RunConfig,
     main,
     parse_rational,
     parse_y_vector,
 )
+from padicsums.errors import MAX_DIGITS
+from padicsums.padic import DEFAULT_NAIVE_BUDGET
 from padicsums.polymap import MAX_TERMS
 
 
@@ -64,11 +65,14 @@ def test_eval_integral_y(capsys):
 
 
 def test_eval_config_round_trip(capsys):
-    code, out, _ = run(capsys, "eval", "--prime", "5", "--map", "x1^2; x1", "--y", "1/5,0")
+    """The echoed config is enough to reproduce the run."""
+    argv = ["eval", "--prime", "5", "--map", "x1^2; x1", "--y", "1/5,0"]
+    code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    payload = json.loads(out)
-    config = RunConfig.from_json_dict(payload["config"])
-    assert config.to_json_dict() == payload["config"]
+    config = json.loads(out)["config"]
+    again = [config["command"], f"--prime={config['prime']}", f"--map={config['map']}",
+             f"--y={','.join(config['y'])}", f"--budget={config['budget']}"]
+    assert run(capsys, *again) == (EXIT_OK, out, "")
 
 
 def test_eval_budget_exit(capsys):
@@ -96,18 +100,13 @@ def test_deeply_nested_map_is_a_parse_error(capsys):
 
 
 def test_eval_budget_env_var(capsys, monkeypatch):
+    """--budget is the only budget setting: the environment is not read."""
     monkeypatch.setenv("PADICSUMS_BUDGET", "10")
-    code, _, _ = run(
-        capsys, "eval", "--prime", "3", "--map", "x1^2", "--y", "1/81",
-        "--method", "naive",
-    )
-    assert code == EXIT_BUDGET
-    monkeypatch.setenv("PADICSUMS_BUDGET", "1000000")
-    code, _, _ = run(
-        capsys, "eval", "--prime", "3", "--map", "x1^2", "--y", "1/81",
-        "--method", "naive",
-    )
+    argv = ["eval", "--map", "x1^2", "--y", "1/81", "--method", "naive"]
+    code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
+    assert json.loads(out)["config"]["budget"] == DEFAULT_NAIVE_BUDGET
+    assert run(capsys, *argv, "--budget", "10")[0] == EXIT_BUDGET
 
 
 def test_density_csv(capsys):
@@ -370,16 +369,56 @@ def test_config_echoes_defaults_for_flags_a_command_does_not_take(capsys, argv, 
     assert json.loads(out[out.index("{"):])["config"] == {**defaults, **echoed}
 
 
-@pytest.mark.parametrize("buffered", [True, False])
-def test_closed_stdout_exits_2_without_a_traceback(buffered):
+@pytest.mark.parametrize(
+    "buffered, argv",
+    [
+        pytest.param(True, ["eval", "--map", "x1^2", "--y", "1/3"], id="True"),
+        pytest.param(False, ["eval", "--map", "x1^2", "--y", "1/3"], id="False"),
+        pytest.param(True, ["eval", "--help"], id="eval-help-True"),
+        pytest.param(False, ["eval", "--help"], id="eval-help-False"),
+        pytest.param(True, ["--help"], id="help-True"),
+        pytest.param(False, ["--help"], id="help-False"),
+    ],
+)
+def test_closed_stdout_exits_2_without_a_traceback(buffered, argv):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    cmd = [sys.executable, "-m", "padicsums", "eval", "--map", "x1^2", "--y", "1/3"]
+    cmd = [sys.executable, "-m", "padicsums", *argv]
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # before the child has imported anything, let alone written
     err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == EXIT_PARSE
-    assert err == "error: cannot write standard output\n"  # no "Exception ignored"
+    code = proc.wait(timeout=60)
+    if buffered or "--help" not in argv:
+        assert code == EXIT_PARSE
+        assert err == "error: cannot write standard output\n"  # no "Exception ignored"
+    else:
+        # argparse itself drops the failed write of unbuffered help text
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
+DIRECTIONS_OVER = "budget exceeded: more than 10 directions (use a sample strategy) needed, budget is 10"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # 3^9100 - 3^9099 directions: more digits than CPython converts to text
+        pytest.param(["decay", "--map", "x1^2", "--levels", "9100..9100"], EXIT_BUDGET,
+                     DIRECTIONS_OVER, id="decay-9100"),
+        pytest.param(["decay", "--map", "x1^2", "--levels", "5000..5000"], EXIT_BUDGET,
+                     DIRECTIONS_OVER, id="decay-5000"),
+        pytest.param(["eval", "--method", "naive", "--map", "x1^2", "--y", "1/3^5000"], EXIT_BUDGET,
+                     "budget exceeded: more than 10 points needed, budget is 10", id="naive-5000"),
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/3^9100"], EXIT_PARSE,
+                     "rational '1/3^9100' is too long to print", id="y-9100"),
+        pytest.param(["eval", "--map", "7" * 5000 + "*x1", "--y", "1/3"], EXIT_PARSE,
+                     f"integer has more than {MAX_DIGITS} digits (at position 0)", id="literal"),
+    ],
+)
+def test_numbers_too_long_to_print(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv, "--budget", "10")
+    assert got == code
+    assert out == "" and err == f"error: {message}\n"

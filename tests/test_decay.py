@@ -110,6 +110,11 @@ def test_sup_at_level_matches_per_direction_reference():
         got = sup_at_level(f, phi, m, strategy, ctx)
         assert got == _reference_record(f, phi, m, strategy, ctx), (f, phi, m, ctx.p, strategy)
     # r = 2 keeps one descent per direction
+    for i in range(16):
+        f, phi, m, ctx = make_random_sweep_instance(rng, r=2)
+        strategy = "exhaustive" if i % 2 else ("sample", rng.randint(1, 20), rng.randint(0, 99))
+        got = sup_at_level(f, phi, m, strategy, ctx)
+        assert got == _reference_record(f, phi, m, strategy, ctx), (f, phi, m, ctx.p, strategy)
     f = parse_polymap("x1^2 + x1; x1^3", 1)
     for strategy in ("exhaustive", ("sample", 12, 3)):
         assert sup_at_level(f, PHI1, 2, strategy, CTX3) == _reference_record(f, PHI1, 2, strategy, CTX3)
@@ -166,8 +171,7 @@ def test_window_restriction_and_monotone_c_hat():
         usable = [r for r in records if r.level <= hi and not r.exact_zero]
         if len(usable) < 2:
             continue
-        fit = fit_alpha(records, f, CTX3, window=(1, hi))
-        assert fit.window == (1, hi)
+        fit = fit_alpha(records[:hi], f, CTX3)
         c_values.append(fit.c_hat)
     assert all(a <= b + 1e-12 for a, b in zip(c_values, c_values[1:]))
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from padicsums.expsum import (
     eval_unit_directions,
 )
 from padicsums.padic import (
-    PAdicRational,
     PhaseFraction,
     PhaseHistogram,
     PrimeContext,
@@ -24,6 +24,10 @@ from padicsums.polymap import (
     SchwartzBruhat,
     parse_polymap,
     poly_add,
+    poly_const,
+    poly_mul,
+    poly_pow,
+    poly_var,
 )
 
 
@@ -64,22 +68,25 @@ def make_random_instance(rng, p_choices=(2, 3, 5), max_level=3, budget=200_000):
             return req
 
 
-def make_random_sweep_instance(rng):
-    """Random one-component (f, phi, m, ctx) for unit-direction sweeps:
-    p in {2, 3, 5}, coefficients with denominators, and 40% of the time a
-    weight function of several balls, some of them outside Z_p^n."""
+def make_random_sweep_instance(rng, r=1):
+    """Random r-component (f, phi, m, ctx) for direction sweeps: p in
+    {2, 3, 5}, coefficients with denominators, and 40% of the time a weight
+    function of several balls, some of them outside Z_p^n.  For r = 2 the
+    level is kept to at most p**(2m) <= 81 directions."""
     p = rng.choice((2, 3, 5))
     n = rng.choice((1, 2))
-    poly = {}
-    for _ in range(rng.randint(1, 4)):
-        exp = tuple(rng.randint(0, 3) for _ in range(n))
-        if sum(exp) > 4:
-            continue
-        unit = rng.choice([1, 2, -1, 4, 7])
-        while unit % p == 0:
-            unit += 1
-        poly[exp] = poly.get(exp, Fraction(0)) + Fraction(unit) * Fraction(p) ** rng.randint(-1, 2)
-    poly = {k: v for k, v in poly.items() if v} or {(0,) * n: Fraction(1)}
+    polys = []
+    for _ in range(r):
+        poly = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = tuple(rng.randint(0, 3) for _ in range(n))
+            if sum(exp) > 4:
+                continue
+            unit = rng.choice([1, 2, -1, 4, 7])
+            while unit % p == 0:
+                unit += 1
+            poly[exp] = poly.get(exp, Fraction(0)) + Fraction(unit) * Fraction(p) ** rng.randint(-1, 2)
+        polys.append({k: v for k, v in poly.items() if v} or {(0,) * n: Fraction(1)})
     phi = SchwartzBruhat.trivial(n)
     if rng.random() < 0.4:
         terms = []
@@ -88,8 +95,41 @@ def make_random_sweep_instance(rng):
             weight = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
             terms += SchwartzBruhat.ball(center, rng.randint(0, 2), weight).terms
         phi = SchwartzBruhat(n, tuple(terms))
-    m = rng.randint(1, {2: 5, 3: 3, 5: 2}[p])
-    return PolyMap(n, (poly,)), phi, m, PrimeContext(p, 10**6)
+    m = rng.randint(1, ({2: 5, 3: 3, 5: 2} if r == 1 else {2: 3, 3: 2, 5: 1})[p])
+    return PolyMap(n, tuple(polys)), phi, m, PrimeContext(p, 10**6)
+
+
+def substitute_variables(f, images):
+    """f(images): each x_i replaced by the polynomial images[i]."""
+    comps = []
+    for comp in f.components:
+        out = {}
+        for exp, c in comp.items():
+            term = poly_const(f.n, c)
+            for image, e in zip(images, exp):
+                term = poly_mul(term, poly_pow(image, e, f.n))
+            out = poly_add(out, term)
+        comps.append(out)
+    return PolyMap(f.n, tuple(comps))
+
+
+def random_substitutions(rng, n, p):
+    """Images of x under x -> x + a with a in Z^n, and under x -> Ax with A
+    integral, det A a p-unit; A is a permutation (the swap for n = 2) a
+    third of the time.  Both maps carry Haar measure on Z_p^n onto itself."""
+    def linear(row):
+        return {tuple(int(k == i) for k in range(n)): Fraction(a) for i, a in enumerate(row) if a}
+
+    translation = [poly_add(poly_var(n, i), poly_const(n, rng.randint(-4, 4))) for i in range(n)]
+    if rng.random() < 1 / 3:
+        matrix = [[int(i == (j + 1) % n) for i in range(n)] for j in range(n)]
+    else:
+        while True:
+            matrix = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            det = matrix[0][0] if n == 1 else matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+            if det % p:
+                break
+    return translation, [linear(row) for row in matrix]
 
 
 def _integer_level(req):
@@ -220,9 +260,21 @@ def test_translation_covariance():
         req2 = EvalRequest(shifted, req.phi, req.y, req.ctx)
         h1 = eval_recursive(req).histogram
         h2 = eval_recursive(req2).histogram
-        dot = sum((yj.value * cj for yj, cj in zip(req.y, c)), Fraction(0))
+        dot = sum((yj * cj for yj, cj in zip(req.y, c)), Fraction(0))
         rotated = h1.rotated(fractional_part(dot, req.ctx.p))
         assert h2.equals_value(rotated)
+
+
+def test_translation_and_unimodular_substitution_invariance():
+    """E_f(y) = E_{f o T}(y) for T(x) = x + a and T(x) = Ax (trivial phi)."""
+    rng = random.Random(109)
+    for _ in range(30):
+        req = make_random_instance(rng, max_level=2)
+        want = eval_naive(req).histogram.reduced()
+        for images in random_substitutions(rng, req.f.n, req.ctx.p):
+            moved = replace(req, f=substitute_variables(req.f, images))
+            assert eval_recursive(moved).histogram.reduced() == want, (req.f, images)
+            assert eval_naive(moved).histogram.reduced() == want, (req.f, images)
 
 
 def test_magnitude_bounded_by_phi_l1():
@@ -251,12 +303,11 @@ def test_budget_error_reports_requirements():
     assert exc.value.budget == 10
 
 
-def test_effective_level_recorded():
+def test_frequency_level():
     ctx = PrimeContext(3)
-    f = parse_polymap("1/3*x1^2", 1)
-    req = EvalRequest.of(f, [Fraction(1, 9)], ctx)
-    assert req.level == 2
-    assert req.effective_level == 3
+    f = parse_polymap("1/3*x1^2; x1", 1)
+    for y, level in (([Fraction(1, 9), 0], 2), ([5, Fraction(2, 27)], 3), ([0, 0], 0), ([Fraction(1, 2), 6], 0)):
+        assert EvalRequest.of(f, y, ctx).level == level
 
 
 def test_eval_series_frozen_oracle():
@@ -336,7 +387,7 @@ def test_negated_frequency_is_the_conjugate():
     rng = random.Random(106)
     for _ in range(40):
         req = make_random_instance(rng)
-        neg = EvalRequest(req.f, req.phi, tuple(PAdicRational.of(-v.value, req.ctx.p) for v in req.y), req.ctx)
+        neg = EvalRequest(req.f, req.phi, tuple(-v for v in req.y), req.ctx)
         expected = eval_recursive(req).histogram.conjugate().reduced()
         assert eval_recursive(neg).histogram.reduced() == expected
 
@@ -348,7 +399,7 @@ def test_unit_multiple_is_the_galois_conjugate():
         req = make_random_instance(rng)
         p = req.ctx.p
         u = rng.choice([u for u in range(2, 3 * p) if u % p])
-        scaled = EvalRequest(req.f, req.phi, tuple(PAdicRational.of(u * v.value, p) for v in req.y), req.ctx)
+        scaled = EvalRequest(req.f, req.phi, tuple(u * v for v in req.y), req.ctx)
         expected = eval_recursive(req).histogram.galois(u).reduced()
         assert eval_recursive(scaled).histogram.reduced() == expected
 

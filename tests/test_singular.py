@@ -7,9 +7,9 @@ import pytest
 
 from padicsums.errors import BudgetExceededError, PreconditionError
 from padicsums.padic import PrimeContext
-from padicsums.polymap import PolyMap, parse_polymap
+from padicsums.polymap import PolyMap, coefficient_floor, parse_polymap
 from padicsums.singular import count_fibers, fourier_check, stabilization_probe
-from tests.test_expsum import make_random_instance
+from tests.test_expsum import make_random_instance, random_substitutions, substitute_variables
 
 
 def test_count_fibers_square_example():
@@ -59,6 +59,28 @@ def test_count_fibers_strategies_agree():
         rec = count_fibers(req.f, m, req.ctx, strategy="recursive")
         assert naive.counts == rec.counts
         assert naive.clear == rec.clear
+
+
+def test_densities_invariant_under_translation_and_unimodular_substitution():
+    """F_m(z) is the same for f and f o T, T(x) = x + a or Ax, under both
+    strategies; f o T may clear fewer denominators, so compare densities."""
+    rng = random.Random(22)
+    for _ in range(25):
+        req = make_random_instance(rng, max_level=0)
+        f, p = req.f, req.ctx.p
+        m = 2
+        while m and (p ** (m + coefficient_floor(f.components, p))) ** f.n > 20_000:
+            m -= 1
+
+        def densities(g, strategy):
+            table = count_fibers(g, m, req.ctx, strategy=strategy)
+            return {z: table.density(z) for z in table.counts}
+
+        want = densities(f, "naive")
+        for images in random_substitutions(rng, f.n, p):
+            moved = substitute_variables(f, images)
+            for strategy in ("naive", "recursive"):
+                assert densities(moved, strategy) == want, (f, images, strategy)
 
 
 def test_count_fibers_budget_and_fallback():
@@ -144,7 +166,7 @@ def test_fourier_check_randomized():
         m = max(req.level, 1)
         if (req.ctx.p ** (m + 2)) ** req.f.n > req.ctx.naive_budget:
             continue
-        res = fourier_check(req.f, [r.value for r in req.y], m, req.ctx)
+        res = fourier_check(req.f, list(req.y), m, req.ctx)
         assert res.is_zero()
 
 
