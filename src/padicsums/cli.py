@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -63,6 +64,11 @@ def parse_rational(text: str) -> Fraction:
         u, base, exp = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if base < 2:
             raise ParseError(f"bad denominator base in {text!r}")
+        # refuse before computing base**exp: the reduced denominator has
+        # more than exp*log10(base) - log10|u| digits (no limit: 0)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if u and limit and exp > (limit + 1 + math.log10(abs(u))) / math.log10(base):
+            raise ParseError(f"rational {text!r} is too long to print")
         value = Fraction(u, base ** exp)
     else:
         try:

@@ -26,22 +26,21 @@ throughout the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
 from .grid import IntPoly, tally
-from .padic import INFINITY, PhaseHistogram, PrimeContext, Rational, valuation
+from .padic import PhaseHistogram, PrimeContext, Rational, clearing_exponent
 from .polymap import (
     Poly,
     PolyMap,
     RestrictedSeries,
     SchwartzBruhat,
-    min_coefficient_valuation,
+    integer_images,
     poly_add,
-    poly_mod_int,
     poly_scale,
     series_truncate,
     substitute_affine,
@@ -111,7 +110,7 @@ class EvalRequest:
     @property
     def level(self) -> int:
         """m = max(0, max_j -v(y_j)): the frequency level |y| = p**m."""
-        return max(0, max((-valuation(v, self.ctx.p) for v in self.y if v), default=0))
+        return clearing_exponent(self.y, self.ctx.p)
 
     def phase_poly(self) -> Poly:
         g: Poly = {}
@@ -127,20 +126,7 @@ class EvalResult:
     stats: PruneStats
 
 
-# ------------------------------------------------------------- integer phases
-
-
-def _integer_phase(g: Poly, p: int) -> tuple[int, IntPoly]:
-    """(M, G) with g congruent to G/p**M mod Z_p on Z_p^n and G reduced mod p**M.
-
-    Adding any Z_p-coefficient polynomial to g leaves all phases psi(g(x))
-    unchanged, so reducing the cleared coefficients mod p**M is exact.
-    """
-    v = min_coefficient_valuation(g, p)
-    m = 0 if v is INFINITY or v >= 0 else int(-v)
-    if m == 0:
-        return 0, {}
-    return m, poly_mod_int(g, p, m, p**m)
+# ------------------------------------------------------------- coset descent
 
 
 def _shift_digit_mod(g: IntPoly, delta: Sequence[int], p: int, mod: int) -> IntPoly:
@@ -190,22 +176,24 @@ def descend_cosets(
     ``rule(polys)``; a label of None splits the node into its p**n
     sub-cosets a + p**k * delta + p**(k+1) Z_p^n, visited in order of the
     digit vector delta.  Both the phase sums and the fiber counts are leaf
-    handlers over this walk.  Visiting more than ``budget`` nodes raises
-    BudgetExceededError.
+    handlers over this walk.  A walk of more than ``budget`` nodes raises
+    BudgetExceededError, counting a split's children before building them.
     """
     mod = p**level
-    # children are pushed last digit vector first, so they pop in lex order
-    deltas = list(itertools.product(range(p), repeat=n))[::-1]
+    deltas = None
     stack = [(0, tuple(polys))]
-    visited = 0
+    pushed = 1
     while stack:
         k, polys = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError(None, budget, what="coset nodes")
         label = rule(polys)
         yield k, polys, label
         if label is None:
+            pushed += p**n
+            if pushed > budget:
+                raise BudgetExceededError(None, budget, what="coset nodes")
+            if deltas is None:
+                # children are pushed last digit vector first, so they pop in lex order
+                deltas = list(itertools.product(range(p), repeat=n))[::-1]
             shifted = [[_shift_digit_mod(g, d, p, mod) for d in deltas] for g in polys]
             stack.extend(zip(itertools.repeat(k + 1), zip(*shifted)))
 
@@ -271,7 +259,7 @@ def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
     stats = PruneStats()
     for ball in req.phi.terms:
         gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
-        m_eff, gint = _integer_phase(gb, p)
+        m_eff, _, (gint,) = integer_images([gb], p, 0)
         if method == "naive":
             counts, st = _naive_counts(gint, m_eff, n, p, req.ctx.naive_budget)
         else:
@@ -316,11 +304,9 @@ def eval_series(
         raise PreconditionError(
             "series evaluation requires phi supported in the unit polydisc"
         )
-    n = series[0].n
-    # the level depends on y alone, so a request on the zero map reads it
-    req = EvalRequest.of(PolyMap(n, tuple({} for _ in series)), y, ctx, phi)
-    f = PolyMap(n, tuple(series_truncate(s, req.level, ctx.p) for s in series))
-    return eval_recursive(replace(req, f=f))
+    m = clearing_exponent([Fraction(v) for v in y], ctx.p)
+    f = PolyMap(series[0].n, tuple(series_truncate(s, m, ctx.p) for s in series))
+    return eval_recursive(EvalRequest.of(f, y, ctx, phi))
 
 
 # --------------------------------------------------------------- unit sweeps

@@ -178,6 +178,24 @@ def tally(
     return keys, counts
 
 
+def encode_key(values: Sequence[int], mod: int) -> int:
+    """The key sum_j values[j] * mod**(r-1-j) of residues in [0, mod)."""
+    key = 0
+    for v in values:
+        key = key * mod + v
+    return key
+
+
+def decode_keys(keys, mod: int, r: int) -> list[list[int]]:
+    """The r residue columns of the encoded ``keys``, inverting ``encode_key``."""
+    keys = np.asarray(keys, dtype=np.int64 if mod**r <= INT64_KEYS_MAX else object)
+    columns = []
+    for _ in range(r):
+        columns.append(keys % mod)
+        keys = keys // mod
+    return [col.tolist() for col in reversed(columns)]
+
+
 def find_points(
     comps: Sequence[IntPoly], mod: int, n: int, budget: int, target: int, limit: int
 ) -> tuple[int, list[tuple[int, ...]]]:

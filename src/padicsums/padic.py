@@ -42,19 +42,35 @@ MAGNITUDE_ERROR_CONSTANT = 8.0
 Rational = Fraction | int
 
 
+#: ``is_prime`` decides every n below this bound: Miller-Rabin on the prime
+#: bases up to 41 has no strong pseudoprime there (Sorenson-Webster 2015).
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (inputs here are small)."""
+    """Deterministic Miller-Rabin test; ValueError for n >= PRIMALITY_BOUND."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -77,6 +93,23 @@ def valuation(x: Rational, p: int) -> int | float:
     if x == 0:
         return INFINITY
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+
+
+def clearing_exponent(values: Iterable[Rational], p: int) -> int:
+    """The least e >= 0 with p**e * v in Z_p for every v in ``values``."""
+    # in lowest terms, v(x) < 0 exactly when p divides the denominator
+    return max((_int_valuation(v.denominator, p) for v in values), default=0)
+
+
+def residue(x: Rational, p: int, clear: int, mod: int) -> int:
+    """p**clear * x mod ``mod``, a power of p: the p-unit part of the
+    denominator is inverted mod ``mod``.  ValueError when v(x) < -clear, as
+    p**clear * x is then not in Z_p."""
+    den = x.denominator
+    e = _int_valuation(den, p)
+    if e > clear:
+        raise ValueError(f"{x} has valuation below -{clear}")
+    return x.numerator * p ** (clear - e) * pow(den // p**e, -1, mod) % mod
 
 
 @dataclass(frozen=True)
@@ -106,22 +139,13 @@ class PhaseFraction:
 
 
 def fractional_part(x: Rational, p: int) -> PhaseFraction:
-    """The class of x modulo Z_p, as a canonical PhaseFraction.
-
-    The p-unit part of the denominator is inverted modulo the p-power part,
-    so every rational has a representative u / p**M with 0 <= u < p**M.
-    """
+    """The class of x modulo Z_p, as a canonical PhaseFraction: every
+    rational has a representative u / p**M with 0 <= u < p**M."""
     x = Fraction(x)
-    den = x.denominator
-    e = _int_valuation(den, p)
-    if e == 0:
-        return PhaseFraction(0, 0)
-    pe = p**e
-    unit = den // pe
-    u = (x.numerator * pow(unit, -1, pe)) % pe
+    level = clearing_exponent([x], p)
     # x in lowest terms with p | den forces p coprime to the numerator,
-    # hence to u: the representative is already canonical.
-    return PhaseFraction(e, u)
+    # hence to the residue: the representative is already canonical.
+    return PhaseFraction(level, residue(x, p, level, p**level))
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:

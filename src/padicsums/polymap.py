@@ -15,7 +15,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import MAX_DIGITS, ParseError, SeriesCertificationError, SeriesFloorError
-from .padic import INFINITY, Rational, valuation
+from .padic import INFINITY, Rational, clearing_exponent, residue, valuation
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Fraction]
@@ -31,6 +31,9 @@ MAX_NESTING = 100
 #: and every integer literal, are held to MAX_DIGITS digits (guards coefficient
 #: blow-up).
 MAX_TERMS = 1000
+
+#: Largest variable index accepted (guards the exponent tuples' length).
+MAX_VARIABLES = 100
 
 #: Degree bound up to which a series valuation floor is searched before the
 #: series is refused as not certified restricted.
@@ -164,12 +167,7 @@ def _substitute_one(a: Poly, i: int, c: Fraction, q: Fraction) -> Poly:
     return out
 
 
-# -------------------------------------------------------------------ivaluation
-
-
-def min_coefficient_valuation(a: Poly, p: int) -> int | float:
-    """Least valuation among coefficients; +infinity for the zero polynomial."""
-    return min((valuation(c, p) for c in a.values()), default=INFINITY)
+# ------------------------------------------------------------- integer images
 
 
 def coefficient_floor(polys: Iterable[Poly], p: int) -> int:
@@ -178,34 +176,26 @@ def coefficient_floor(polys: Iterable[Poly], p: int) -> int:
     p**B clears every denominator p-power, so arithmetic mod p**(m+B)
     determines all values mod p**m Z_p.
     """
-    worst = 0
-    for a in polys:
-        v = min_coefficient_valuation(a, p)
-        if v is not INFINITY and v < -worst:
-            worst = -v
-    return worst
+    return clearing_exponent((c for a in polys for c in a.values()), p)
 
 
 def poly_mod_int(a: Poly, p: int, clear: int, mod: int) -> dict[Exponent, int]:
     """Integer image of p**clear * a with coefficients reduced mod ``mod``.
 
-    Requires every coefficient of p**clear * a to lie in Z_p (its p-unit
-    denominator part is inverted mod ``mod``).  Zero coefficients dropped.
+    Requires every coefficient of p**clear * a to lie in Z_p (ValueError
+    otherwise).  Zero coefficients dropped.
     """
-    out: dict[Exponent, int] = {}
-    for exp, c in a.items():
-        num = c.numerator
-        den = c.denominator
-        e = 0
-        while den % p == 0:
-            den //= p
-            e += 1
-        if clear < e:
-            raise ValueError(f"coefficient {c} has valuation below -{clear}")
-        val = (num * p ** (clear - e) * pow(den, -1, mod)) % mod if mod > 1 else 0
-        if val:
-            out[exp] = val
-    return out
+    images = ((exp, residue(c, p, clear, mod)) for exp, c in a.items())
+    return {exp: v for exp, v in images if v}
+
+
+def integer_images(polys: Sequence[Poly], p: int, level: int) -> tuple[int, int, list[dict]]:
+    """(B, p**(level+B), the images of p**B * g mod p**(level+B)), with
+    B = ``coefficient_floor(polys, p)``: integer polynomials whose values
+    determine every g(x) mod p**level Z_p for x in Z_p^n."""
+    clear = coefficient_floor(polys, p)
+    mod = p ** (level + clear)
+    return clear, mod, [poly_mod_int(g, p, clear, mod) for g in polys]
 
 
 # ------------------------------------------------------------------ matrix rank
@@ -485,8 +475,14 @@ def parse_polymap(text: str, n: int) -> PolyMap:
 
 
 def infer_variable_count(text: str) -> int:
-    """Largest variable index mentioned; 1 if none (constant map)."""
-    indices = [int(m.group(1)) for m in re.finditer(r"x(\d+)", text)]
+    """Largest variable index mentioned; 1 if none (constant map).  An index
+    past MAX_VARIABLES is a ParseError."""
+    indices = []
+    for m in re.finditer(r"x0*(\d+)", text):
+        # compare lengths first: int() refuses thousands of digits
+        if len(m.group(1)) > len(str(MAX_VARIABLES)) or int(m.group(1)) > MAX_VARIABLES:
+            raise ParseError(f"variable index exceeds limit {MAX_VARIABLES}", m.start())
+        indices.append(int(m.group(1)))
     return max(indices, default=1)
 
 

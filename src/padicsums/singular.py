@@ -19,26 +19,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-import numpy as np
-
 from .errors import BudgetExceededError, PreconditionError
 from .expsum import EvalRequest, descend_cosets, eval_naive
-from .grid import INT64_KEYS_MAX, find_points, tally
+from .grid import decode_keys, encode_key, find_points, tally
 from .padic import (
     PhaseHistogram,
     PrimeContext,
     Rational,
     _int_valuation,
-    fractional_part,
+    clearing_exponent,
+    residue,
     valuation,
 )
 from .polymap import (
     PolyMap,
     coefficient_floor,
+    integer_images,
     jacobian,
     matrix_rank_with_valuations,
     poly_eval,
-    poly_mod_int,
 )
 
 FiberKey = tuple[Fraction, ...] | tuple[int, ...]
@@ -73,38 +72,25 @@ class DensityTable:
         when the map has integral coefficients (B = 0)."""
         return self.count(z) * self._density_scale()
 
-    def _density_exponent(self) -> int:
-        return self.level * self.r - (self.level + self.clear) * self.n
-
     def _density_scale(self) -> Fraction:
-        return Fraction(self.p) ** self._density_exponent()
+        return Fraction(self.p) ** (self.level * self.r - (self.level + self.clear) * self.n)
 
     def _density_texts(self) -> dict[int, str]:
-        """str(F) for every count N in the table, computed in integers: the
-        powers of p shared by N and the scale's denominator cancel."""
-        p, e0 = self.p, self._density_exponent()
-        texts = {}
-        for count in set(self.counts.values()):
-            num, e = count, e0
-            while e < 0 and num % p == 0:
-                num //= p
-                e += 1
-            texts[count] = str(num * p**e) if e >= 0 else f"{num}/{p**-e}"
-        return texts
+        """str(F) for every count N in the table."""
+        scale = self._density_scale()
+        return {count: str(count * scale) for count in set(self.counts.values())}
 
     def _key(self, z: Sequence[Rational]) -> FiberKey | None:
         """Canonical residue key of z mod p**level, or None when some
         component lies outside p**(-clear) Z_p (such z have no solutions)."""
+        z = [Fraction(c) for c in z]
         mod = self.p ** (self.level + self.clear)
-        out = []
-        for c in z:
-            shifted = Fraction(c) * self.p**self.clear
-            if valuation(shifted, self.p) < 0:
-                return None
-            den = shifted.denominator  # a p-unit here
-            rep = shifted.numerator * pow(den, -1, mod) % mod if mod > 1 else 0
-            out.append(Fraction(rep, self.p**self.clear) if self.clear else int(rep))
-        return tuple(out)
+        try:
+            reps = [residue(c, self.p, self.clear, mod) for c in z]
+        except ValueError:
+            return None
+        den = self.p**self.clear
+        return tuple(Fraction(v, den) for v in reps) if self.clear else tuple(reps)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -133,30 +119,17 @@ class DensityTable:
         }
 
 
-def _integerized_components(f: PolyMap, m: int, p: int):
-    b = coefficient_floor(f.components, p)
-    mod = p ** (m + b)
-    return b, mod, [poly_mod_int(comp, p, b, mod) for comp in f.components]
-
-
 def _table(f: PolyMap, m: int, p: int, clear: int, keys, counts: list[int]) -> DensityTable:
     """DensityTable from encoded keys (ascending) and their point counts."""
-    mod = p ** (m + clear)
-    keys = np.asarray(keys, dtype=np.int64 if mod**f.r <= INT64_KEYS_MAX else object)
-    columns = []
-    for _ in range(f.r):
-        columns.append(keys % mod)
-        keys = keys // mod
+    columns = decode_keys(keys, p ** (m + clear), f.r)
     if clear:
         den = p**clear
-        values = [[Fraction(v, den) for v in col.tolist()] for col in reversed(columns)]
-    else:
-        values = [col.tolist() for col in reversed(columns)]
-    return DensityTable(p, m, f.n, f.r, clear, dict(zip(zip(*values), counts)))
+        columns = [[Fraction(v, den) for v in col] for col in columns]
+    return DensityTable(p, m, f.n, f.r, clear, dict(zip(zip(*columns), counts)))
 
 
 def _count_naive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
-    b, mod, comps = _integerized_components(f, m, ctx.p)
+    b, mod, comps = integer_images(f.components, ctx.p, m)
     keys, counts = tally(comps, mod, f.n, ctx.naive_budget)
     return _table(f, m, ctx.p, b, keys, counts.tolist())
 
@@ -218,7 +191,7 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
     """
     p = ctx.p
     n = f.n
-    b, mod, comps = _integerized_components(f, m, p)
+    b, mod, comps = integer_images(f.components, p, m)
     m_eff = m + b
     zero = (0,) * n
     counts: dict[int, int] = {}
@@ -237,9 +210,7 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
             range(g.get(zero, 0) % p**lam, mod, p**lam) for g, lam in zip(polys, lams)
         ]
         for values in itertools.product(*sides):
-            key = 0
-            for v in values:
-                key = key * mod + v
+            key = encode_key(values, mod)
             counts[key] = counts.get(key, 0) + weight
     keys = sorted(counts)
     return _table(f, m, p, b, keys, [counts[k] for k in keys])
@@ -289,10 +260,10 @@ def fourier_check(
     # z_j = v_j / p**B with v_j an integer, so psi(y . z) only needs each
     # y_j / p**B mod Z_p, written over the common denominator p**level.
     den = p**table.clear
-    classes = [fractional_part(v / den, p) for v in ys]
-    level = max(c.level for c in classes)
+    shifted = [v / den for v in ys]
+    level = clearing_exponent(shifted, p)
     mod = p**level
-    weights = [c.numerator * p ** (level - c.level) for c in classes]
+    weights = [residue(v, p, level, mod) for v in shifted]
     counts: dict[int, int] = {}
     for key, count in table.counts.items():
         dot = sum(w * z.numerator * (den // z.denominator) for w, z in zip(weights, key))
@@ -398,8 +369,6 @@ def _preimages(
     f: PolyMap, z: tuple[int, ...], m: int, ctx: PrimeContext, limit: int
 ) -> tuple[int, list[tuple[int, ...]]]:
     """(total count, first ``limit`` solutions of f(x) = z mod p**m in lex order)."""
-    b, mod, comps = _integerized_components(f, m, ctx.p)
-    target = 0
-    for c in z:
-        target = target * mod + c * ctx.p**b % mod
+    b, mod, comps = integer_images(f.components, ctx.p, m)
+    target = encode_key([residue(c, ctx.p, b, mod) for c in z], mod)
     return find_points(comps, mod, f.n, ctx.naive_budget, target, limit)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from padicsums.cli import (
     parse_y_vector,
 )
 from padicsums.errors import MAX_DIGITS
-from padicsums.padic import DEFAULT_NAIVE_BUDGET
+from padicsums.padic import DEFAULT_NAIVE_BUDGET, PRIMALITY_BOUND
 from padicsums.polymap import MAX_TERMS
 
 
@@ -289,12 +290,29 @@ def test_exit_code_5_is_never_expected():
         (["density", "--map", "(x1+1)^2", "--level", "100000"], "fibers in one box"),
         # a phase descent of unbounded size used to run on and on
         (["eval", "--map", "x1^3+x2^3+x1*x2", "--y", "1/3^40"], "coset nodes"),
+        # the root's 1000003 children used to be built before the budget was read
+        (["eval", "--prime", "1000003", "--map", "x1^2", "--y", "1/1000003^2"], "coset nodes"),
+        # one-node walks (what=None) used to build all p**n digit vectors first
+        (["eval", "--map", "x12", "--y", "1/3"], None),
+        (["eval", "--prime", "10000000000000061", "--map", "x1", "--y", "1/10000000000000061"],
+         None),
     ],
 )
 def test_recursive_paths_keep_the_budget(capsys, argv, what):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--budget", "10")
+    assert time.perf_counter() - start < 1.0
+    if what is None:
+        assert code == EXIT_OK and json.loads(out)["pruning_stats"]["leaves"] == 1
+        return
     assert code == EXIT_BUDGET
     assert out == "" and f"more than 10 {what} needed" in err and "Traceback" not in err
+
+
+def test_prime_past_the_primality_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--prime", str(PRIMALITY_BOUND), "--map", "x1", "--y", "1")
+    assert code == EXIT_PARSE
+    assert out == "" and err == f"error: primality is decided only below {PRIMALITY_BOUND}\n"
 
 
 def test_fiber_fallback_below_the_budget(capsys):
@@ -414,6 +432,9 @@ DIRECTIONS_OVER = "budget exceeded: more than 10 directions (use a sample strate
                      "budget exceeded: more than 10 points needed, budget is 10", id="naive-5000"),
         pytest.param(["eval", "--map", "x1^2", "--y", "1/3^9100"], EXIT_PARSE,
                      "rational '1/3^9100' is too long to print", id="y-9100"),
+        # refused from its digit count: computing 3^10000000 took seconds
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/3^10000000"], EXIT_PARSE,
+                     "rational '1/3^10000000' is too long to print", id="y-10000000"),
         pytest.param(["eval", "--map", "7" * 5000 + "*x1", "--y", "1/3"], EXIT_PARSE,
                      f"integer has more than {MAX_DIGITS} digits (at position 0)", id="literal"),
     ],

@@ -133,9 +133,10 @@ def random_substitutions(rng, n, p):
 
 
 def _integer_level(req):
-    from padicsums.expsum import _integer_phase
+    from padicsums.polymap import integer_images
 
-    return _integer_phase(req.phase_poly(), req.ctx.p)
+    clear, _, (g,) = integer_images([req.phase_poly()], req.ctx.p, 0)
+    return clear, g
 
 
 def test_eval_naive_gauss_example():

@@ -2,16 +2,19 @@ import cmath
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from padicsums.padic import (
     INFINITY,
+    PRIMALITY_BOUND,
     PhaseFraction,
     PhaseHistogram,
     PrimeContext,
     fractional_part,
+    is_prime,
     valuation,
 )
 
@@ -25,6 +28,26 @@ def test_prime_context_validation():
         PrimeContext(1)
     with pytest.raises(ValueError):
         PrimeContext(3, naive_budget=0)
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    limit = 10**5
+    sieve = [True] * limit  # trial division by every prime, all at once
+    sieve[0] = sieve[1] = False
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = [False] * len(range(f * f, limit, f))
+    assert [is_prime(n) for n in range(limit)] == sieve
+    # Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # and 2**67 - 1 = 193707721 * 761838257287
+    for n in (561, 1105, 1729, 3215031751, 2**67 - 1):
+        assert not is_prime(n)
+    start = time.perf_counter()
+    assert is_prime(10**16 + 61) and is_prime(2**61 - 1)
+    PrimeContext(10**16 + 61)
+    assert time.perf_counter() - start < 0.1  # trial division took seconds
+    with pytest.raises(ValueError, match="decided only below"):
+        PrimeContext(PRIMALITY_BOUND)
 
 
 def test_valuation_examples():

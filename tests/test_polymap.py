@@ -9,6 +9,7 @@ from padicsums.errors import MAX_DIGITS, ParseError, SeriesCertificationError, S
 from padicsums.padic import INFINITY
 from padicsums.polymap import (
     MAX_TERMS,
+    MAX_VARIABLES,
     PolyMap,
     RestrictedSeries,
     SchwartzBruhat,
@@ -87,6 +88,13 @@ def test_term_cap():
 def test_infer_variable_count():
     assert infer_variable_count("x1^2*x2; x2^3") == 2
     assert infer_variable_count("7") == 1
+
+
+def test_variable_index_cap():
+    assert infer_variable_count("x1 + x100") == MAX_VARIABLES == 100
+    for text in ("x1 + x101", "x1 + x99999999", "x1 + x" + "9" * 5000):
+        with pytest.raises(ParseError, match=f"exceeds limit {MAX_VARIABLES} \\(at position 5\\)"):
+            infer_variable_count(text)
 
 
 def test_degree_data_examples():
