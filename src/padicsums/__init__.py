@@ -30,13 +30,7 @@ from .expsum import (
     eval_series,
     eval_unit_directions,
 )
-from .padic import (
-    PhaseFraction,
-    PhaseHistogram,
-    PrimeContext,
-    fractional_part,
-    valuation,
-)
+from .padic import PhaseHistogram, PrimeContext, valuation
 from .polymap import (
     BallTerm,
     DegreeData,

@@ -8,8 +8,9 @@ randomness is seeded and the seed is echoed in the output; identical
 configuration and seed give byte-identical output.
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 parse/usage error (including a
---map-file that cannot be read, an --out path that cannot be written, and a
-standard output that cannot be written, such as a closed pipe), 3 budget
+--map-file that cannot be read, an --out path that cannot be written, a
+standard output that cannot be written, such as a closed pipe, and a result
+with a number too long to print), 3 budget
 exceeded, 4 precondition violated, 5 internal consistency failure.  Any
 other exception is a bug: it propagates, with a traceback and exit 1.
 """
@@ -17,6 +18,7 @@ other exception is a bug: it propagates, with a traceback and exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -136,6 +138,7 @@ class RunConfig:
     seed: int = 0
     epsilon: float = DEFAULT_EPSILON
     format: str = "json"
+    method: str = "recursive"
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,12 +184,13 @@ def _setup(args) -> _Run:
     levels = parse_levels(args.levels) if "levels" in given else None
     strategy = parse_strategy(args.strategy, args.seed) if "strategy" in given else None
     ctx = PrimeContext(args.prime, args.budget)
+    as_given = ("level", "strategy", "seed", "epsilon", "format", "method")
     config = RunConfig(
         args.command, args.prime, map_text, ctx.naive_budget,
         phi=phi.to_json_list() if given.get("phi") else None,
         y=tuple(str(v) for v in y) if y is not None else None,
         levels=levels,
-        **{k: given[k] for k in ("level", "strategy", "seed", "epsilon", "format") if k in given},
+        **{k: given[k] for k in as_given if k in given},
     )
     return _Run(config, f, phi, ctx, y, strategy)
 
@@ -221,31 +225,44 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+@contextlib.contextmanager
+def _rendering():
+    """Wrap the code that turns results into text: the interpreter's refusal
+    to convert an integer of too many digits (a ValueError) becomes a
+    ParseError."""
+    try:
+        yield
+    except ValueError:
+        raise ParseError("a number in the output is too long to print") from None
+
+
 def _cmd_eval(args, run: _Run) -> None:
     evaluate = eval_naive if args.method == "naive" else eval_recursive
     result = evaluate(EvalRequest.of(run.f, run.y, run.ctx, run.phi))
     hist = result.histogram.reduced()
     mag, err = hist.magnitude()
-    payload = {
-        "config": run.config.to_json_dict(),
-        "histogram": hist.to_json_dict(),
-        "magnitude": mag,
-        "magnitude_error": err,
-        "exact_zero": hist.is_zero(),
-        "pruning_stats": result.stats.to_json_dict(),
-    }
-    _emit(_json_dumps(payload), args.out)
+    with _rendering():
+        text = _json_dumps({
+            "config": run.config.to_json_dict(),
+            "histogram": hist.to_json_dict(),
+            "magnitude": mag,
+            "magnitude_error": err,
+            "exact_zero": hist.is_zero(),
+            "pruning_stats": result.stats.to_json_dict(),
+        })
+    _emit(text, args.out)
 
 
 def _cmd_density(args, run: _Run) -> None:
     table = count_fibers(run.f, args.level, run.ctx)
-    if args.format == "csv":
-        buf = StringIO()
-        table.write_csv(buf)
-        _emit(buf.getvalue(), args.out)
-    else:
-        payload = {"config": run.config.to_json_dict(), "table": table.to_json_dict()}
-        _emit(_json_dumps(payload), args.out)
+    with _rendering():
+        if args.format == "csv":
+            buf = StringIO()
+            table.write_csv(buf)
+            text = buf.getvalue()
+        else:
+            text = _json_dumps({"config": run.config.to_json_dict(), "table": table.to_json_dict()})
+    _emit(text, args.out)
 
 
 def _cmd_decay(args, run: _Run) -> None:
@@ -265,19 +282,20 @@ def _cmd_decay(args, run: _Run) -> None:
             "c_hat": fit.c_hat,
             "verdict": report.verdict,
         }
-    payload = {
-        "config": run.config.to_json_dict(),
-        "records": [rec.to_json_dict() for rec in records],
-        "fit": fit_dict,
-        "report": report.to_json_dict(),
-    }
-    csv_buf = StringIO()
-    write_decay_csv(records, csv_buf)
+    with _rendering():
+        text = _json_dumps({
+            "config": run.config.to_json_dict(),
+            "records": [rec.to_json_dict() for rec in records],
+            "fit": fit_dict,
+            "report": report.to_json_dict(),
+        })
+        csv_buf = StringIO()
+        write_decay_csv(records, csv_buf)
     if args.out:
-        _write(args.out + ".json", _json_dumps(payload))
+        _write(args.out + ".json", text)
         _write(args.out + ".csv", csv_buf.getvalue())
     else:
-        _emit(csv_buf.getvalue() + _json_dumps(payload), None)
+        _emit(csv_buf.getvalue() + text, None)
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
-from .errors import BudgetExceededError, ExactVanishingError, FitError
+from .errors import MAX_DIGITS, BudgetExceededError, ExactVanishingError, FitError
 from .expsum import EvalRequest, eval_recursive, eval_unit_directions
-from .padic import INFINITY, PhaseHistogram, PrimeContext
+from .padic import INFINITY, PhaseHistogram, PrimeContext, power_exceeds
 from .polymap import DegreeData, PolyMap, SchwartzBruhat, check_affine_independence, degree_data
 
 #: Histograms with more stored classes than this skip the exact |E|**2 path.
@@ -133,8 +133,13 @@ def sup_at_level(
     p = ctx.p
     exhaustive = strategy == "exhaustive"
     if exhaustive:
-        total = primitive_direction_count(p, m, f.r)
-        if total > ctx.naive_budget:
+        # total >= p**((m-1)*r): past both the budget and 10**MAX_DIGITS, it
+        # exceeds the budget and is too long to state, so it is not built
+        if power_exceeds(p, (m - 1) * f.r, max(ctx.naive_budget, 10**MAX_DIGITS)):
+            total = None
+        else:
+            total = primitive_direction_count(p, m, f.r)
+        if total is None or total > ctx.naive_budget:
             raise BudgetExceededError(
                 total, ctx.naive_budget, what="directions (use a sample strategy)"
             )

@@ -162,7 +162,7 @@ def _shift_digit_mod(g: IntPoly, delta: Sequence[int], p: int, mod: int) -> IntP
 
 def descend_cosets(
     polys: Sequence[IntPoly],
-    level: int,
+    mod: int,
     n: int,
     p: int,
     rule: Callable[[tuple[IntPoly, ...]], Any],
@@ -170,16 +170,15 @@ def descend_cosets(
 ) -> Iterator[tuple[int, tuple[IntPoly, ...], Any]]:
     """Walk the cosets a + p**k Z_p^n in digit-lexicographic order.
 
-    ``polys`` are integer polynomials reduced mod p**level, as polynomials
-    in the coordinate t of the root coset Z_p^n.  Each node is yielded as
-    (k, its polynomials in its own coordinate, label), where the label is
-    ``rule(polys)``; a label of None splits the node into its p**n
+    ``polys`` are integer polynomials reduced mod ``mod``, a power of p, as
+    polynomials in the coordinate t of the root coset Z_p^n.  Each node is
+    yielded as (k, its polynomials in its own coordinate, label), where the
+    label is ``rule(polys)``; a label of None splits the node into its p**n
     sub-cosets a + p**k * delta + p**(k+1) Z_p^n, visited in order of the
     digit vector delta.  Both the phase sums and the fiber counts are leaf
     handlers over this walk.  A walk of more than ``budget`` nodes raises
     BudgetExceededError, counting a split's children before building them.
     """
-    mod = p**level
     deltas = None
     stack = [(0, tuple(polys))]
     pushed = 1
@@ -212,18 +211,18 @@ def _classify(polys: tuple[IntPoly, ...]) -> str | None:
 
 
 def _collect_leaves(
-    g: IntPoly, level: int, n: int, p: int, budget: int
+    g: IntPoly, level: int, mod: int, n: int, p: int, budget: int
 ) -> tuple[dict[int, int], PruneStats]:
-    """Phase-class counts of the P1 leaves, in units of p**(-level*n).
+    """Phase-class counts of the P1 leaves, in units of p**(-level*n), for
+    G reduced mod ``mod`` = p**level.
 
     Classes appear in the order the digit-lexicographic walk first meets
     them.
     """
-    mod = p**level
     zero = (0,) * n
     counts: dict[int, int] = {}
     stats = PruneStats()
-    for k, (poly,), kind in descend_cosets((g,), level, n, p, _classify, budget):
+    for k, (poly,), kind in descend_cosets((g,), mod, n, p, _classify, budget):
         if kind is None:
             stats.splits += 1
             continue
@@ -238,11 +237,11 @@ def _collect_leaves(
 
 
 def _naive_counts(
-    g: IntPoly, level: int, n: int, p: int, budget: int
+    g: IntPoly, level: int, mod: int, n: int, p: int, budget: int
 ) -> tuple[dict[int, int], PruneStats]:
-    """Histogram counts of G(x) mod p**level over all residue tuples."""
-    keys, counts = tally([g], p**level, n, budget)
-    return dict(zip(keys.tolist(), counts.tolist())), PruneStats(points=p ** (level * n))
+    """Histogram counts of G(x) mod ``mod`` = p**level over all residue tuples."""
+    keys, counts = tally([g], mod, n, budget)
+    return dict(zip(keys.tolist(), counts.tolist())), PruneStats(points=mod**n)
 
 
 # ------------------------------------------------------------------ evaluators
@@ -259,11 +258,9 @@ def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
     stats = PruneStats()
     for ball in req.phi.terms:
         gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
-        m_eff, _, (gint,) = integer_images([gb], p, 0)
-        if method == "naive":
-            counts, st = _naive_counts(gint, m_eff, n, p, req.ctx.naive_budget)
-        else:
-            counts, st = _collect_leaves(gint, m_eff, n, p, req.ctx.naive_budget)
+        m_eff, mod, (gint,) = integer_images([gb], p, 0)
+        collect = _naive_counts if method == "naive" else _collect_leaves
+        counts, st = collect(gint, m_eff, mod, n, p, req.ctx.naive_budget)
         scale = ball.weight * Fraction(p) ** (-(ball.k + m_eff) * n)
         total = total + PhaseHistogram(p, m_eff, counts, scale)
         stats = stats + st

@@ -21,7 +21,6 @@ tests rely on.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -112,6 +111,16 @@ def residue(x: Rational, p: int, clear: int, mod: int) -> int:
     return x.numerator * p ** (clear - e) * pow(den // p**e, -1, mod) % mod
 
 
+def power_exceeds(p: int, e: int, bound: int) -> bool:
+    """Whether p**e > bound for a bound >= 1, without building p**e when
+    bit lengths decide it: p**e >= 2**(e*(b-1)) for p of b bits, and p**e
+    is built only when that is below 2**bound.bit_length(), where p**e has
+    at most twice the bits of ``bound``."""
+    if e * (p.bit_length() - 1) >= bound.bit_length():
+        return True
+    return p**e > bound
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     """The prime, plus global budgets shared by all enumeration strategies."""
@@ -126,28 +135,6 @@ class PrimeContext:
             raise ValueError("naive_budget must be >= 1")
 
 
-@dataclass(frozen=True)
-class PhaseFraction:
-    """Canonical representative u / p**level of a rational modulo Z_p.
-
-    level is minimal: either level == 0 (the class of Z_p itself) or the
-    numerator is coprime to p.
-    """
-
-    level: int
-    numerator: int
-
-
-def fractional_part(x: Rational, p: int) -> PhaseFraction:
-    """The class of x modulo Z_p, as a canonical PhaseFraction: every
-    rational has a representative u / p**M with 0 <= u < p**M."""
-    x = Fraction(x)
-    level = clearing_exponent([x], p)
-    # x in lowest terms with p | den forces p coprime to the numerator,
-    # hence to the residue: the representative is already canonical.
-    return PhaseFraction(level, residue(x, p, level, p**level))
-
-
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     """Positive generator of the fractional ideal aZ + bZ."""
     num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
@@ -159,8 +146,8 @@ class PhaseHistogram:
     """scale * sum_k counts[k] * zeta(p**level)**k with exact integer counts.
 
     Treat instances as immutable: every operation returns a new histogram.
-    Counts are stored sparsely; bulk evaluators build the dict in one pass
-    via ``from_phase_counts``.
+    Counts are stored sparsely, keyed by the class k in [0, p**level); the
+    evaluators build the dict themselves and pass it to the constructor.
     """
 
     p: int
@@ -172,26 +159,6 @@ class PhaseHistogram:
     def zero(cls, p: int) -> "PhaseHistogram":
         return cls(p, 0, {}, Fraction(1))
 
-    @classmethod
-    def from_phase_counts(
-        cls,
-        p: int,
-        phases: Iterable[tuple[PhaseFraction, int]],
-        scale: Rational = 1,
-    ) -> "PhaseHistogram":
-        """Accumulate many (phase, weight) pairs in a single pass."""
-        items = list(phases)
-        level = max((ph.level for ph, _ in items), default=0)
-        counts: dict[int, int] = {}
-        for ph, w in items:
-            key = ph.numerator * p ** (level - ph.level)
-            c = counts.get(key, 0) + w
-            if c:
-                counts[key] = c
-            else:
-                counts.pop(key, None)
-        return cls(p, level, counts, Fraction(scale))
-
     # ------------------------------------------------------------------ algebra
 
     def _lifted_counts(self, level: int) -> dict[int, int]:
@@ -199,18 +166,6 @@ class PhaseHistogram:
             return dict(self.counts)
         step = self.p ** (level - self.level)
         return {k * step: c for k, c in self.counts.items()}
-
-    def accumulated(self, phase: PhaseFraction, weight: int = 1) -> "PhaseHistogram":
-        """Add ``weight`` (in units of the current scale) to the class of ``phase``."""
-        level = max(self.level, phase.level)
-        counts = self._lifted_counts(level)
-        key = phase.numerator * self.p ** (level - phase.level)
-        c = counts.get(key, 0) + weight
-        if c:
-            counts[key] = c
-        else:
-            counts.pop(key, None)
-        return PhaseHistogram(self.p, level, counts, self.scale)
 
     def scaled(self, q: Rational) -> "PhaseHistogram":
         return PhaseHistogram(self.p, self.level, dict(self.counts), self.scale * Fraction(q))
@@ -235,11 +190,12 @@ class PhaseHistogram:
                 counts.pop(k, None)
         return PhaseHistogram(self.p, level, counts, scale)
 
-    def rotated(self, phase: PhaseFraction) -> "PhaseHistogram":
-        """Multiply the represented value by zeta**phase."""
-        level = max(self.level, phase.level)
+    def rotated(self, x: Rational) -> "PhaseHistogram":
+        """Multiply the represented value by psi(x) = exp(2*pi*i * {x}_p)."""
+        x = Fraction(x)
+        level = max(self.level, clearing_exponent([x], self.p))
         mod = self.p**level
-        shift = phase.numerator * self.p ** (level - phase.level)
+        shift = residue(x, self.p, level, mod)
         counts: dict[int, int] = {}
         for k, c in self._lifted_counts(level).items():
             counts[(k + shift) % mod] = counts.get((k + shift) % mod, 0) + c
@@ -331,10 +287,6 @@ class PhaseHistogram:
             return True
         return not self.reduced().counts
 
-    def equals_value(self, other: "PhaseHistogram") -> bool:
-        """Exact equality of represented values (scales may differ)."""
-        return (self + other.scaled(-1)).is_zero()
-
     def exact_rational(self) -> Fraction | None:
         """The represented value as a Fraction if it is rational, else None."""
         r = self.reduced()
@@ -376,9 +328,6 @@ class PhaseHistogram:
             "scale": str(self.scale),
             "counts": {str(k): c for k, c in sorted(self.counts.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhaseHistogram":

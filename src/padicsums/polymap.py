@@ -201,48 +201,21 @@ def integer_images(polys: Sequence[Poly], p: int, level: int) -> tuple[int, int,
 # ------------------------------------------------------------------ matrix rank
 
 
-def matrix_rank_with_valuations(
-    rows: Sequence[Sequence[Rational]], p: int | None = None
-) -> tuple[int, list[int | float]]:
-    """Exact rank of a rational matrix by Gaussian elimination.
-
-    With ``p`` given, pivots are chosen with minimal p-adic valuation and the
-    pivot valuations are returned as diagnostics (the elimination order used
-    when ranks are read at finite p-adic precision).
-    """
+def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Exact rank of a rational matrix by Gaussian elimination over Q."""
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0, []
-    ncols = len(m[0])
     rank = 0
-    pivots: list[int | float] = []
-    row0 = 0
-    used_cols: set[int] = set()
-    while row0 < len(m):
-        best = None
-        for i in range(row0, len(m)):
-            for j in range(ncols):
-                if j in used_cols or m[i][j] == 0:
-                    continue
-                key = valuation(m[i][j], p) if p is not None else 0
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            if p is None and best is not None:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        m[row0], m[bi] = m[bi], m[row0]
-        piv = m[row0][bj]
-        pivots.append(valuation(piv, p) if p is not None else 0)
-        used_cols.add(bj)
-        for i in range(row0 + 1, len(m)):
-            if m[i][bj]:
-                factor = m[i][bj] / piv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row0])]
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                factor = m[i][col] / m[rank][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
         rank += 1
-        row0 += 1
-    return rank, pivots
+    return rank
 
 
 # ----------------------------------------------------------------------- types
@@ -309,8 +282,7 @@ def check_affine_independence(f: PolyMap) -> bool:
     ]
     for comp in f.components:
         rows.append([comp.get(c, Fraction(0)) for c in cols])
-    rank, _ = matrix_rank_with_valuations(rows)
-    return rank == f.r + 1
+    return matrix_rank(rows) == f.r + 1
 
 
 def jacobian(f: PolyMap) -> tuple[tuple[Poly, ...], ...]:
@@ -444,7 +416,7 @@ class _Parser:
                 return poly_const(self.n, Fraction(num, den))
             return poly_const(self.n, num)
         if kind == "var":
-            idx = int(val[1:])
+            idx = _variable_index(val[1:], pos)
             if not 1 <= idx <= self.n:
                 raise ParseError(f"unknown variable {val!r} (have x1..x{self.n})", pos)
             return poly_var(self.n, idx - 1)
@@ -474,15 +446,20 @@ def parse_polymap(text: str, n: int) -> PolyMap:
     return PolyMap(n, tuple(comps))
 
 
+def _variable_index(digits: str, pos: int) -> int:
+    """The index a variable's digits name, leading zeros ignored (x01 is x1);
+    ParseError past MAX_VARIABLES."""
+    digits = digits.lstrip("0") or "0"
+    # compare lengths first: int() refuses thousands of digits
+    if len(digits) > len(str(MAX_VARIABLES)) or int(digits) > MAX_VARIABLES:
+        raise ParseError(f"variable index exceeds limit {MAX_VARIABLES}", pos)
+    return int(digits)
+
+
 def infer_variable_count(text: str) -> int:
     """Largest variable index mentioned; 1 if none (constant map).  An index
     past MAX_VARIABLES is a ParseError."""
-    indices = []
-    for m in re.finditer(r"x0*(\d+)", text):
-        # compare lengths first: int() refuses thousands of digits
-        if len(m.group(1)) > len(str(MAX_VARIABLES)) or int(m.group(1)) > MAX_VARIABLES:
-            raise ParseError(f"variable index exceeds limit {MAX_VARIABLES}", m.start())
-        indices.append(int(m.group(1)))
+    indices = [_variable_index(m.group(1), m.start()) for m in re.finditer(r"x(\d+)", text)]
     return max(indices, default=1)
 
 
@@ -601,13 +578,6 @@ class SchwartzBruhat:
     def ball(cls, center: Sequence[Rational], k: int, weight: Rational = 1) -> "SchwartzBruhat":
         c = tuple(Fraction(x) for x in center)
         return cls(len(c), (BallTerm(c, k, Fraction(weight)),))
-
-    def l1_upper_bound(self, p: int) -> Fraction:
-        """sum |weight| * measure(ball): an exact upper bound for the L1 norm."""
-        return sum(
-            (abs(t.weight) * Fraction(p) ** (-t.k * self.n) for t in self.terms),
-            Fraction(0),
-        )
 
     def supported_in_unit_polydisc(self, p: int) -> bool:
         return all(

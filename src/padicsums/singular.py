@@ -28,6 +28,7 @@ from .padic import (
     Rational,
     _int_valuation,
     clearing_exponent,
+    power_exceeds,
     residue,
     valuation,
 )
@@ -36,7 +37,7 @@ from .polymap import (
     coefficient_floor,
     integer_images,
     jacobian,
-    matrix_rank_with_valuations,
+    matrix_rank,
     poly_eval,
 )
 
@@ -196,13 +197,13 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
     zero = (0,) * n
     counts: dict[int, int] = {}
     walk = descend_cosets(
-        comps, m_eff, n, p, lambda polys: _hensel_box(polys, n, p, m_eff), ctx.naive_budget
+        comps, mod, n, p, lambda polys: _hensel_box(polys, n, p, m_eff), ctx.naive_budget
     )
     for k, polys, lams in walk:
         if lams is None:
             continue
         box = sum(m_eff - lam for lam in lams)  # the box has p**box fibers
-        if p**box > ctx.naive_budget:
+        if power_exceeds(p, box, ctx.naive_budget):
             # p**box may be too long to print, so report only the bound
             raise BudgetExceededError(None, ctx.naive_budget, what="fibers in one box")
         weight = p ** ((m_eff - k) * n - box)
@@ -235,7 +236,7 @@ def count_fibers(
     if strategy != "auto":
         raise ValueError(f"unknown strategy {strategy!r}")
     b = coefficient_floor(f.components, ctx.p)
-    if (ctx.p ** (m + b)) ** f.n <= ctx.naive_budget:
+    if not power_exceeds(ctx.p, (m + b) * f.n, ctx.naive_budget):
         return _count_naive(f, m, ctx)
     return _count_recursive(f, m, ctx)
 
@@ -279,31 +280,13 @@ class StabilizationReport:
 
     z: tuple[int, ...]
     levels: list[int]
-    n_values: list[int]
     f_values: list[Fraction]
     stable: bool
     stable_from: int | None
     preimage_count: int
     sampled_preimages: list[tuple[int, ...]]
     ranks: list[int]
-    pivot_valuations: list[list[int | float]]
-    max_rank: int
     full_rank: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z": list(self.z),
-            "levels": self.levels,
-            "N": self.n_values,
-            "F": [str(v) for v in self.f_values],
-            "stable": self.stable,
-            "stable_from": self.stable_from,
-            "preimage_count": self.preimage_count,
-            "sampled_preimages": [list(x) for x in self.sampled_preimages],
-            "ranks": self.ranks,
-            "max_rank": self.max_rank,
-            "full_rank": self.full_rank,
-        }
 
 
 def stabilization_probe(
@@ -322,17 +305,11 @@ def stabilization_probe(
     m0, m1 = m_range
     if not (1 <= m0 <= m1):
         raise PreconditionError("need 1 <= m0 <= m1")
-    p = ctx.p
     zt = tuple(int(c) for c in z)
     if len(zt) != f.r:
         raise ValueError("target arity must equal component count")
     levels = list(range(m0, m1 + 1))
-    n_values = []
-    f_values = []
-    for m in levels:
-        table = count_fibers(f, m, ctx)
-        n_values.append(table.count(zt))
-        f_values.append(table.density(zt))
+    f_values = [count_fibers(f, m, ctx).density(zt) for m in levels]
     stable_from = None
     for i in range(len(levels)):
         if all(f_values[j] == f_values[i] for j in range(i, len(levels))):
@@ -341,26 +318,20 @@ def stabilization_probe(
     stable = stable_from is not None and stable_from < m1
     preimages = _preimages(f, zt, m1, ctx, PREIMAGE_SAMPLE_LIMIT)
     jac = jacobian(f)
-    ranks = []
-    pivot_vals = []
-    for x in preimages[1]:
-        matrix = [[poly_eval(entry, x) for entry in row] for row in jac]
-        rank, pivots = matrix_rank_with_valuations(matrix, p)
-        ranks.append(rank)
-        pivot_vals.append(pivots)
+    ranks = [
+        matrix_rank([[poly_eval(entry, x) for entry in row] for row in jac])
+        for x in preimages[1]
+    ]
     max_rank = min(f.r, f.n)
     return StabilizationReport(
         z=zt,
         levels=levels,
-        n_values=n_values,
         f_values=f_values,
         stable=stable,
         stable_from=stable_from,
         preimage_count=preimages[0],
         sampled_preimages=preimages[1],
         ranks=ranks,
-        pivot_valuations=pivot_vals,
-        max_rank=max_rank,
         full_rank=bool(preimages[1]) and all(r == max_rank for r in ranks),
     )
 

@@ -8,6 +8,7 @@ histograms or Fractions, never floats.
 import cmath
 import contextlib
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -257,7 +258,7 @@ def test_criterion_9_determinism_across_workers():
         parts = []
         for req in instances:
             hist = eval_recursive(req).histogram
-            parts += [hist.to_json(), hist.reduced().to_json()]
+            parts += [json.dumps(h.to_json_dict()) for h in (hist, hist.reduced())]
         return "\n".join(parts).encode()
 
     assert serialize() == serialize()

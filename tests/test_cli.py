@@ -309,6 +309,25 @@ def test_recursive_paths_keep_the_budget(capsys, argv, what):
     assert out == "" and f"more than 10 {what} needed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, what, seconds",
+    [
+        # 3^3000000 was built four times, three of them only to be compared
+        (["density", "--map", "x1", "--level", "3000000"], "fibers in one box", 1.0),
+        # the count 3^3000000 - 3^2999999 was built only to be compared
+        (["decay", "--map", "x1^2", "--levels", "3000000..3000000"],
+         "directions (use a sample strategy)", 0.1),
+    ],
+    ids=["density", "decay"],
+)
+def test_budget_checks_at_high_levels_build_no_huge_powers(capsys, argv, what, seconds):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--budget", "10")
+    assert time.perf_counter() - start < seconds
+    assert code == EXIT_BUDGET and out == ""
+    assert err == f"error: budget exceeded: more than 10 {what} needed, budget is 10\n"
+
+
 def test_prime_past_the_primality_bound_is_a_usage_error(capsys):
     code, out, err = run(capsys, "eval", "--prime", str(PRIMALITY_BOUND), "--map", "x1", "--y", "1")
     assert code == EXIT_PARSE
@@ -374,6 +393,7 @@ def test_flags_a_command_does_not_use_are_usage_errors(capsys, argv):
              "--epsilon", "0.5"],
             {"levels": [1, 2], "strategy": "sample:3", "seed": 5, "epsilon": 0.5},
         ),
+        (["eval", "--y", "1/3", "--method", "naive"], {"y": ["1/3"], "method": "naive"}),
     ],
 )
 def test_config_echoes_defaults_for_flags_a_command_does_not_take(capsys, argv, echoed):
@@ -382,7 +402,7 @@ def test_config_echoes_defaults_for_flags_a_command_does_not_take(capsys, argv, 
     defaults = {
         "command": argv[0], "prime": 3, "map": "x1^2", "budget": 5000, "phi": None,
         "y": None, "level": None, "levels": None, "strategy": "exhaustive", "seed": 0,
-        "epsilon": 0.1, "format": "json",
+        "epsilon": 0.1, "format": "json", "method": "recursive",
     }
     assert json.loads(out[out.index("{"):])["config"] == {**defaults, **echoed}
 
@@ -437,6 +457,15 @@ DIRECTIONS_OVER = "budget exceeded: more than 10 directions (use a sample strate
                      "rational '1/3^10000000' is too long to print", id="y-10000000"),
         pytest.param(["eval", "--map", "7" * 5000 + "*x1", "--y", "1/3"], EXIT_PARSE,
                      f"integer has more than {MAX_DIGITS} digits (at position 0)", id="literal"),
+        # N = F = 3^10000, with 4,772 digits, in both output formats
+        pytest.param(["density", "--map", "5", "--level", "10000"], EXIT_PARSE,
+                     "a number in the output is too long to print", id="density-csv"),
+        pytest.param(["density", "--map", "5", "--level", "10000", "--format", "json"], EXIT_PARSE,
+                     "a number in the output is too long to print", id="density-json"),
+        # the measure 3^-10000 of phi's ball is the scale of E
+        pytest.param(["eval", "--map", "x1", "--y", "1",
+                      "--phi", '[{"center": ["0"], "k": 10000, "weight": "1"}]'], EXIT_PARSE,
+                     "a number in the output is too long to print", id="eval-scale"),
     ],
 )
 def test_numbers_too_long_to_print(capsys, argv, code, message):

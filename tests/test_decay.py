@@ -60,6 +60,16 @@ def test_sup_budget_guard():
         sup_at_level(f, PHI1, 2, "exhaustive", ctx)
 
 
+def test_sup_budget_states_the_direction_count_while_it_is_short():
+    ctx = PrimeContext(3, naive_budget=4)
+    f = parse_polymap("x1^2", 1)
+    # 3^(m-1) already passes the budget at m = 4, but the count 54 is short
+    for m, needed in ((2, 6), (4, 54), (47, 3**47 - 3**46), (200, None)):
+        with pytest.raises(BudgetExceededError) as exc:
+            sup_at_level(f, PHI1, m, "exhaustive", ctx)
+        assert exc.value.needed == needed
+
+
 def test_sampled_sup_below_exhaustive():
     f = parse_polymap("x1^3 + x1^2", 1)
     for m in (2, 3):

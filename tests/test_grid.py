@@ -10,7 +10,7 @@ import pytest
 
 import padicsums.grid as grid
 from padicsums.expsum import EvalRequest, eval_naive
-from padicsums.padic import PhaseHistogram, PrimeContext, fractional_part
+from padicsums.padic import PhaseHistogram, PrimeContext
 from padicsums.polymap import PolyMap, coefficient_floor, parse_polymap, poly_eval
 from padicsums.singular import _hensel_box, _preimages, count_fibers
 
@@ -40,11 +40,12 @@ def reference_value(f: PolyMap, y, p: int) -> PhaseHistogram:
     v = min((c for c in phase.values() if c), key=lambda c: _val(c, p), default=0)
     level = max(0, -_val(v, p)) if v else 0
     mod = p**level
-    phases = [
-        (fractional_part(poly_eval(phase, x), p), 1)
-        for x in itertools.product(range(mod), repeat=f.n)
-    ]
-    return PhaseHistogram.from_phase_counts(p, phases, Fraction(1, mod**f.n))
+    counts: dict = {}
+    for x in itertools.product(range(mod), repeat=f.n):
+        value = poly_eval(phase, x) * mod  # in Z_p: its class mod p**level is the phase
+        k = value.numerator * pow(value.denominator, -1, mod) % mod if mod > 1 else 0
+        counts[k] = counts.get(k, 0) + 1
+    return PhaseHistogram(p, level, counts, Fraction(1, mod**f.n))
 
 
 def _val(c, p):

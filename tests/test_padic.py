@@ -10,11 +10,12 @@ import pytest
 from padicsums.padic import (
     INFINITY,
     PRIMALITY_BOUND,
-    PhaseFraction,
     PhaseHistogram,
     PrimeContext,
-    fractional_part,
+    clearing_exponent,
     is_prime,
+    power_exceeds,
+    residue,
     valuation,
 )
 
@@ -71,10 +72,23 @@ def test_valuation_multiplicative_and_ultrametric():
             assert vs == lo
 
 
+def fractional_part(x, p):
+    """(level, class) of x modulo Z_p: x = class / p**level mod Z_p."""
+    x = Fraction(x)
+    level = clearing_exponent([x], p)
+    return level, residue(x, p, level, p**level)
+
+
 def test_fractional_part_examples():
-    assert fractional_part(Fraction(7, 9), 3) == PhaseFraction(2, 7)
-    assert fractional_part(5, 3) == PhaseFraction(0, 0)
-    assert fractional_part(Fraction(1, 2), 3) == PhaseFraction(0, 0)
+    assert fractional_part(Fraction(7, 9), 3) == (2, 7)
+    assert fractional_part(5, 3) == (0, 0)
+    assert fractional_part(Fraction(1, 2), 3) == (0, 0)
+    assert clearing_exponent([Fraction(1, 2), 5, Fraction(7, 9), Fraction(1, 3)], 3) == 2
+    assert clearing_exponent([], 3) == 0
+    # a level above the clearing exponent scales the class by p
+    assert residue(Fraction(7, 9), 3, 3, 27) == 21
+    with pytest.raises(ValueError, match="valuation below -1"):
+        residue(Fraction(7, 9), 3, 1, 3)
 
 
 def test_fractional_part_translation_invariance():
@@ -87,13 +101,24 @@ def test_fractional_part_translation_invariance():
 
 
 def test_fractional_part_canonical():
-    ph = fractional_part(Fraction(3, 9), 3)  # 1/3 in disguise
-    assert ph == PhaseFraction(1, 1)
-    ph = fractional_part(Fraction(1, 18), 3)  # denominator 2 * 3^2
-    assert ph.level == 2
-    assert ph.numerator % 3 != 0
+    assert fractional_part(Fraction(3, 9), 3) == (1, 1)  # 1/3 in disguise
+    level, u = fractional_part(Fraction(1, 18), 3)  # denominator 2 * 3^2
+    assert level == 2
+    assert u % 3 != 0
     # 1/18 = u/9 mod Z_3 with 2u = 1 mod 9, u = 5
-    assert ph.numerator == 5
+    assert u == 5
+
+
+def test_power_exceeds_decides_without_building_large_powers():
+    for p in (2, 3, 5, 7, 97):
+        for e in range(0, 40):
+            for bound in (1, 2, 9, 10, 1000, p**e - 1, p**e, p**e + 1, 10**50):
+                if bound >= 1:
+                    assert power_exceeds(p, e, bound) == (p**e > bound), (p, e, bound)
+    start = time.perf_counter()
+    assert power_exceeds(3, 10**12, 10)
+    assert not power_exceeds(3, 0, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------- histograms
@@ -103,14 +128,20 @@ def hist(p, level, counts, scale=1):
     return PhaseHistogram(p, level, dict(counts), Fraction(scale))
 
 
+def one_class(p, x, weight=1):
+    """weight * psi(x) as a histogram with a single class."""
+    level, u = fractional_part(x, p)
+    return hist(p, level, {u: weight})
+
+
 def test_accumulate_examples():
-    h1 = PhaseHistogram(3, 1, {}, Fraction(1)).accumulated(PhaseFraction(1, 1), 1)
+    h1 = hist(3, 1, {}) + one_class(3, Fraction(1, 3))
     assert h1.counts == {1: 1} and h1.level == 1
 
-    h2 = hist(3, 1, {1: 1}).accumulated(PhaseFraction(0, 0), 1)
+    h2 = hist(3, 1, {1: 1}) + one_class(3, 0)
     assert h2.counts == {0: 1, 1: 1} and h2.level == 1
 
-    h3 = hist(3, 0, {0: 1}).accumulated(PhaseFraction(2, 1), 1)
+    h3 = hist(3, 0, {0: 1}) + one_class(3, Fraction(1, 9))
     assert h3.level == 2 and h3.counts == {0: 1, 1: 1}
 
 
@@ -119,18 +150,17 @@ def test_accumulate_commutes():
     for _ in range(50):
         p = rng.choice([2, 3, 5])
         phases = [
-            (PhaseFraction(lvl := rng.randint(0, 3), rng.choice([u for u in range(p**lvl)
-              if lvl == 0 and u == 0 or (lvl > 0 and u % p)])), rng.randint(-3, 3))
+            (Fraction(rng.randrange(p**3), p ** rng.randint(0, 3)), rng.randint(-3, 3))
             for _ in range(6)
         ]
         h1 = PhaseHistogram.zero(p)
-        for ph, w in phases:
-            h1 = h1.accumulated(ph, w)
+        for x, w in phases:
+            h1 = h1 + one_class(p, x, w)
         shuffled = phases[:]
         rng.shuffle(shuffled)
         h2 = PhaseHistogram.zero(p)
-        for ph, w in shuffled:
-            h2 = h2.accumulated(ph, w)
+        for x, w in shuffled:
+            h2 = one_class(p, x, w) + h2
         assert h1.reduced() == h2.reduced()
 
 
@@ -203,7 +233,6 @@ def test_cross_level_rational_values_reduce_identically():
     a = hist(3, 1, {1: 1, 2: 1})
     b = hist(3, 0, {0: -1})
     assert a.reduced() == b.reduced()
-    assert a.equals_value(b)
 
 
 def test_magnitude_examples():
@@ -226,7 +255,7 @@ def test_add_merges_levels_and_scales():
     s = a + b
     assert s.level == 2
     # value check: s = a + b exactly
-    assert s.equals_value(b + a)
+    assert s.reduced() == (b + a).reduced()
     assert (s + a.scaled(-1) + b.scaled(-1)).is_zero()
 
 
@@ -239,8 +268,9 @@ def test_add_zero_identity():
 
 def test_rotate_and_conjugate():
     h = hist(3, 1, {0: 1, 1: 2}, Fraction(1, 3))
-    r = h.rotated(PhaseFraction(1, 1))
+    r = h.rotated(Fraction(1, 3))
     assert r.counts == {1: 1, 2: 2}
+    assert h.rotated(Fraction(4, 3)).reduced() == r.reduced()  # psi(1 + x) = psi(x)
     mag_h, _ = h.magnitude()
     mag_r, _ = r.magnitude()
     assert abs(mag_h - mag_r) < 1e-12
@@ -263,7 +293,7 @@ def test_exact_rational():
 
 def test_json_round_trip():
     h = hist(5, 2, {0: 1, 7: -2}, Fraction(-3, 25))
-    again = PhaseHistogram.from_json_dict(json.loads(h.to_json()))
+    again = PhaseHistogram.from_json_dict(json.loads(json.dumps(h.to_json_dict())))
     assert again == h
     d = h.to_json_dict()
     assert set(d) == {"p", "M", "scale", "counts"}

@@ -10,6 +10,7 @@ from padicsums.padic import INFINITY
 from padicsums.polymap import (
     MAX_TERMS,
     MAX_VARIABLES,
+    BallTerm,
     PolyMap,
     RestrictedSeries,
     SchwartzBruhat,
@@ -95,6 +96,12 @@ def test_variable_index_cap():
     for text in ("x1 + x101", "x1 + x99999999", "x1 + x" + "9" * 5000):
         with pytest.raises(ParseError, match=f"exceeds limit {MAX_VARIABLES} \\(at position 5\\)"):
             infer_variable_count(text)
+    # leading zeros are read by value, however many there are
+    padded = "x" + "0" * 5000 + "1"
+    assert infer_variable_count(padded) == 1
+    assert parse_polymap(padded, 1) == parse_polymap("x01", 1) == parse_polymap("x1", 1)
+    with pytest.raises(ParseError, match=f"exceeds limit {MAX_VARIABLES} \\(at position 0\\)"):
+        parse_polymap("x" + "9" * 5000, 1)
 
 
 def test_degree_data_examples():
@@ -209,12 +216,12 @@ def test_series_from_poly():
 
 def test_schwartz_bruhat_validation():
     phi = SchwartzBruhat.trivial(2)
-    assert phi.l1_upper_bound(3) == 1
+    assert phi.terms == (BallTerm((Fraction(0), Fraction(0)), 0, Fraction(1)),)
     assert phi.supported_in_unit_polydisc(3)
 
     ball = SchwartzBruhat.ball([Fraction(1, 3)], 1, Fraction(2))
     assert not ball.supported_in_unit_polydisc(3)
-    assert ball.l1_upper_bound(3) == Fraction(2, 3)
+    assert ball.terms == (BallTerm((Fraction(1, 3),), 1, Fraction(2)),)
 
     with pytest.raises(ValueError):
         SchwartzBruhat(1, (next(iter(SchwartzBruhat.ball([0], 0, 0).terms)),))
