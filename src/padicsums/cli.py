@@ -269,24 +269,11 @@ def _cmd_decay(args, run: _Run) -> None:
     m0, m1 = run.config.levels
     records = [sup_at_level(run.f, run.phi, m, run.strategy, run.ctx) for m in range(m0, m1 + 1)]
     report = degree_bound_report(run.f, records, run.ctx, epsilon=args.epsilon)
-    fit = report.fit
-    if fit is None:
-        fit_dict = {"error": report.fit_error, "verdict": report.verdict}
-    else:
-        fit_dict = {
-            "alpha_hat": fit.alpha_hat,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "d_f": report.d_max,
-            "bound_exponent": fit.bound_exponent,
-            "c_hat": fit.c_hat,
-            "verdict": report.verdict,
-        }
     with _rendering():
         text = _json_dumps({
             "config": run.config.to_json_dict(),
             "records": [rec.to_json_dict() for rec in records],
-            "fit": fit_dict,
+            "fit": report.fit_json_dict(),
             "report": report.to_json_dict(),
         })
         csv_buf = StringIO()

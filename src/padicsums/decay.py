@@ -72,15 +72,16 @@ class FitResult:
     c_hat: float
     c_hat_square: Fraction | None
     zero_levels: list[int]
-    degree: DegreeData
-    ratios: list[tuple[int, float]]  # (m, the least c the record at m needs)
 
 
 def primitive_directions(p: int, m: int, r: int) -> Iterator[tuple[int, ...]]:
     """All u in [0, p**m)^r with at least one unit coordinate, lex order."""
-    for u in itertools.product(range(p**m), repeat=r):
-        if any(c % p for c in u):
-            yield u
+    mod = p**m
+    for head in itertools.product(range(mod), repeat=r - 1):
+        unit_head = any(c % p for c in head)
+        for c in range(mod):
+            if unit_head or c % p:
+                yield head + (c,)
 
 
 def primitive_direction_count(p: int, m: int, r: int) -> int:
@@ -143,38 +144,33 @@ def sup_at_level(
             raise BudgetExceededError(
                 total, ctx.naive_budget, what="directions (use a sample strategy)"
             )
+        directions = primitive_directions(p, m, f.r)
     else:
         kind, count, seed = strategy
         if kind != "sample":
             raise ValueError(f"unknown strategy {strategy!r}")
+        directions = _sample_directions(p, m, f.r, count, seed)
 
     best_mag = 0.0
     best_err = 0.0
     best_u: tuple[int, ...] | None = None
     best_square: Fraction | None = None
-    seen_nonzero = False
 
     if f.r == 1:
-        units = None if exhaustive else (u for (u,) in _sample_directions(p, m, 1, count, seed))
-        iterator = (((u,), hist) for u, hist in eval_unit_directions(f, phi, m, ctx, units))
+        sweep = eval_unit_directions(f, phi, m, ctx, (u for (u,) in directions))
+        iterator = (((u,), hist) for u, hist in sweep)
     else:
-        if exhaustive:
-            directions = primitive_directions(p, m, f.r)
-        else:
-            directions = _sample_directions(p, m, f.r, count, seed)
         mod = p**m
-
-        def _evaluate(u: tuple[int, ...]) -> PhaseHistogram:
-            y = [Fraction(c, mod) for c in u]
-            return eval_recursive(EvalRequest.of(f, y, ctx, phi)).histogram.reduced()
-
-        iterator = ((u, _evaluate(u)) for u in directions)
+        iterator = (
+            (u, eval_recursive(EvalRequest.of(f, [Fraction(c, mod) for c in u], ctx, phi))
+             .histogram.reduced())
+            for u in directions
+        )
 
     measured: set[int] = set()  # classes of u mod p**M' already measured (r = 1)
     for u, hist in iterator:
         if not hist.counts:
             continue
-        seen_nonzero = True
         if f.r == 1:
             cls = u[0] % p**hist.level
             if cls in measured:
@@ -184,7 +180,7 @@ def sup_at_level(
         if mag > best_mag or best_u is None:
             best_mag, best_err, best_u = mag, err, u
             best_square = _exact_sup_square(hist)
-    if not seen_nonzero:
+    if best_u is None:  # every direction gave an exact zero
         return DecayRecord(m, 0.0, 0.0, None, exhaustive, True, Fraction(0))
     return DecayRecord(m, best_mag, best_err, best_u, exhaustive, False, best_square)
 
@@ -227,8 +223,6 @@ def fit_alpha(
         c_hat=c_hat,
         c_hat_square=c_hat_square,
         zero_levels=zero_levels,
-        degree=deg,
-        ratios=ratios,
     )
 
 
@@ -314,6 +308,21 @@ class DecayReport:
             "notes": self.notes,
         }
 
+    def fit_json_dict(self) -> dict:
+        """The ``fit`` block of the decay output: the fit, or why there is
+        none."""
+        if self.fit is None:
+            return {"error": self.fit_error, "verdict": self.verdict}
+        return {
+            "alpha_hat": self.fit.alpha_hat,
+            "intercept": self.fit.intercept,
+            "residual": self.fit.residual,
+            "d_f": self.d_max,
+            "bound_exponent": self.fit.bound_exponent,
+            "c_hat": self.fit.c_hat,
+            "verdict": self.verdict,
+        }
+
 
 def degree_bound_report(
     f: PolyMap,
@@ -338,12 +347,11 @@ def degree_bound_report(
             "the degree-based envelope is not asserted for this map"
         )
     usable = [rec for rec in records if not rec.exact_zero]
+    deg, bound_exponent, ratios = _envelope(usable, f, ctx.p)
     try:
         fit, fit_error = fit_alpha(records, f, ctx), None
-        deg, bound_exponent, ratios = fit.degree, fit.bound_exponent, fit.ratios
     except FitError as exc:
         fit, fit_error = None, str(exc)
-        deg, bound_exponent, ratios = _envelope(usable, f, ctx.p)
     if deg.d_max == 0:
         notes.append("map is constant: no envelope exponent is defined")
     if not usable:

@@ -107,11 +107,6 @@ class EvalRequest:
             ctx,
         )
 
-    @property
-    def level(self) -> int:
-        """m = max(0, max_j -v(y_j)): the frequency level |y| = p**m."""
-        return clearing_exponent(self.y, self.ctx.p)
-
     def phase_poly(self) -> Poly:
         g: Poly = {}
         for yj, comp in zip(self.y, self.f.components):
@@ -309,22 +304,15 @@ def eval_series(
 # --------------------------------------------------------------- unit sweeps
 
 
-def unit_directions(p: int, m: int) -> Iterator[int]:
-    """All u in [1, p**m) coprime to p, ascending."""
-    for u in range(1, p**m):
-        if u % p:
-            yield u
-
-
 def eval_unit_directions(
     f: PolyMap,
     phi: SchwartzBruhat,
     m: int,
     ctx: PrimeContext,
-    units: Iterable[int] | None = None,
+    units: Iterable[int],
 ) -> Iterator[tuple[int, PhaseHistogram]]:
-    """Reduced histograms of E(u / p**m) for every unit u in [1, p**m),
-    ascending, or for each of ``units`` in the order given.
+    """Reduced histograms of E(u / p**m) for each of ``units`` (integers
+    prime to p), in the order given.
 
     Only for r = 1.  A unit u rescales every coefficient of the phase
     polynomial by a p-adic unit, so the coset classification (vanishing of
@@ -343,7 +331,7 @@ def eval_unit_directions(
     base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
     mod = p**base.level
     classes: dict[int, PhaseHistogram] = {}
-    for u in unit_directions(p, m) if units is None else units:
+    for u in units:
         if u % p == 0:
             raise ValueError(f"direction {u} is not a unit mod {p}")
         hist = classes.get(u % mod)

@@ -74,12 +74,20 @@ def is_prime(n: int) -> bool:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer: p, p**2, p**4, ... are divided
+    out while they divide, then the smaller squares again, one binary digit
+    of the exponent each, so it takes O(log v) divisions, not v."""
     n = abs(n)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    squares = [p]  # p**(2**k)
+    while n % squares[-1] == 0:
+        n //= squares[-1]
+        v += 1 << (len(squares) - 1)
+        squares.append(squares[-1] * squares[-1])
+    for k in range(len(squares) - 2, -1, -1):
+        if n % squares[k] == 0:
+            n //= squares[k]
+            v += 1 << k
     return v
 
 

@@ -18,6 +18,7 @@ from padicsums.decay import (
     degree_bound_report,
     fit_alpha,
     primitive_direction_count,
+    primitive_directions,
     sup_at_level,
 )
 from padicsums.expsum import (
@@ -26,7 +27,7 @@ from padicsums.expsum import (
     eval_recursive,
     eval_unit_directions,
 )
-from padicsums.padic import PhaseHistogram, PrimeContext
+from padicsums.padic import PhaseHistogram, PrimeContext, clearing_exponent
 from padicsums.polymap import (
     PolyMap,
     SchwartzBruhat,
@@ -66,7 +67,8 @@ def test_criterion_1_gauss_closed_form():
         for m in range(1, 7):
             expected = p ** (-m / 2)
             checked = 0
-            for u, hist in eval_unit_directions(f, phi, m, ctx):
+            units = [u for (u,) in primitive_directions(p, m, 1)]
+            for u, hist in eval_unit_directions(f, phi, m, ctx, units):
                 mag, _ = hist.magnitude()
                 assert abs(mag - expected) < 1e-10, (p, m, u, mag)
                 checked += 1
@@ -107,8 +109,9 @@ def test_criterion_3_fourier_identity():
     while done < 100:
         req = make_random_instance(rng, max_level=3, budget=BUDGET)
         p, n = req.ctx.p, req.f.n
-        m = min(max(req.level, 1), 3)
-        if req.level > m:
+        level = clearing_exponent(req.y, p)
+        m = min(max(level, 1), 3)
+        if level > m:
             continue  # identity is only asserted for v(y) >= -m
         b = coefficient_floor(req.f.components, p)
         if (p ** (m + b)) ** n > BUDGET:
@@ -125,7 +128,8 @@ def test_criterion_4_exact_vanishing():
         f = parse_polymap("x1", 1)
         phi = SchwartzBruhat.trivial(1)
         for m in range(1, 7):
-            for u, hist in eval_unit_directions(f, phi, m, ctx):
+            units = [u for (u,) in primitive_directions(p, m, 1)]
+            for u, hist in eval_unit_directions(f, phi, m, ctx, units):
                 assert hist.counts == {} and hist.is_zero(), (p, m, u)
             if m <= 3:
                 for u in range(1, p**m):

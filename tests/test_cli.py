@@ -296,6 +296,9 @@ def test_exit_code_5_is_never_expected():
         (["eval", "--map", "x12", "--y", "1/3"], None),
         (["eval", "--prime", "10000000000000061", "--map", "x1", "--y", "1/10000000000000061"],
          None),
+        # the valuation of 3^100000, one division per factor, took ~8 s
+        (["decay", "--map", "x1^2", "--levels", "100000..100000", "--strategy", "sample:1"],
+         "coset nodes"),
     ],
 )
 def test_recursive_paths_keep_the_budget(capsys, argv, what):
@@ -307,6 +310,20 @@ def test_recursive_paths_keep_the_budget(capsys, argv, what):
         return
     assert code == EXIT_BUDGET
     assert out == "" and f"more than 10 {what} needed" in err and "Traceback" not in err
+
+
+DECAY_GOLDEN = json.loads((Path(__file__).parent / "data" / "decay_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", DECAY_GOLDEN, ids=[" ".join(case["argv"][4:]) for case in DECAY_GOLDEN]
+)
+def test_decay_output_bytes_are_pinned(capsys, case):
+    """stdout (the CSV, then the JSON), stderr and exit code of ``decay``,
+    recorded once: a square (CONSISTENT), an r=2 map, a sampled sweep, a
+    linear map (VACUOUS) and a constant map."""
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 @pytest.mark.parametrize(

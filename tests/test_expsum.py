@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicsums.decay import primitive_directions
 from padicsums.errors import BudgetExceededError, PreconditionError, SeriesFloorError
 from padicsums.expsum import (
     EvalRequest,
@@ -12,7 +13,7 @@ from padicsums.expsum import (
     eval_series,
     eval_unit_directions,
 )
-from padicsums.padic import PhaseHistogram, PrimeContext
+from padicsums.padic import PhaseHistogram, PrimeContext, clearing_exponent
 from padicsums.polymap import (
     PolyMap,
     RestrictedSeries,
@@ -304,7 +305,7 @@ def test_frequency_level():
     ctx = PrimeContext(3)
     f = parse_polymap("1/3*x1^2; x1", 1)
     for y, level in (([Fraction(1, 9), 0], 2), ([5, Fraction(2, 27)], 3), ([0, 0], 0), ([Fraction(1, 2), 6], 0)):
-        assert EvalRequest.of(f, y, ctx).level == level
+        assert clearing_exponent(EvalRequest.of(f, y, ctx).y, ctx.p) == level
 
 
 def test_eval_series_frozen_oracle():
@@ -359,7 +360,8 @@ def test_unit_sweep_matches_per_direction_eval():
         f, phi, m, ctx = make_random_sweep_instance(rng)
         p = ctx.p
         units = []
-        for u, hist in eval_unit_directions(f, phi, m, ctx):
+        all_units = [u for (u,) in primitive_directions(p, m, 1)]
+        for u, hist in eval_unit_directions(f, phi, m, ctx, all_units):
             direct = eval_recursive(EvalRequest.of(f, [Fraction(u, p**m)], ctx, phi))
             assert hist == direct.histogram.reduced(), (f, phi, m, p, u)
             units.append(u)
@@ -373,7 +375,7 @@ def test_unit_sweep_over_given_units():
     units = [7, 2, 7, 25, 1]
     swept = list(eval_unit_directions(f, phi, 3, ctx, units))
     assert [u for u, _ in swept] == units
-    full = dict(eval_unit_directions(f, phi, 3, ctx))
+    full = dict(eval_unit_directions(f, phi, 3, ctx, [u for (u,) in primitive_directions(3, 3, 1)]))
     assert all(hist == full[u] for u, hist in swept)
     with pytest.raises(ValueError):
         list(eval_unit_directions(f, phi, 3, ctx, [3]))
@@ -415,5 +417,6 @@ def test_descent_node_budget():
 def test_unit_sweep_rejects_multi_component_maps():
     ctx = PrimeContext(3)
     f = parse_polymap("x1; x1^2", 1)
+    units = [u for (u,) in primitive_directions(3, 1, 1)]
     with pytest.raises(ValueError):
-        list(eval_unit_directions(f, SchwartzBruhat.trivial(1), 1, ctx))
+        list(eval_unit_directions(f, SchwartzBruhat.trivial(1), 1, ctx, units))

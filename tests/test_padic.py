@@ -72,6 +72,33 @@ def test_valuation_multiplicative_and_ultrametric():
             assert vs == lo
 
 
+def test_valuation_matches_one_division_per_factor():
+    """The valuation by repeated squaring agrees with dividing out p one
+    factor at a time."""
+
+    def by_single_factors(n, p):
+        n, v = abs(n), 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        return v
+
+    rng = random.Random(2)
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.choice([1, -1]) * rng.randint(1, 10**12) * p ** rng.randint(0, 300)
+        assert valuation(n, p) == by_single_factors(n, p), (n, p)
+        assert valuation(Fraction(1, n), p) == -by_single_factors(n, p)
+
+
+def test_valuation_of_a_long_power_is_fast():
+    """One division per factor of p took ~4 s on 7 * 3**100000."""
+    x = 7 * 3**100000
+    start = time.perf_counter()
+    assert valuation(x, 3) == 100000
+    assert clearing_exponent([Fraction(2, x)], 3) == 100000
+    assert time.perf_counter() - start < 0.2
+
+
 def fractional_part(x, p):
     """(level, class) of x modulo Z_p: x = class / p**level mod Z_p."""
     x = Fraction(x)

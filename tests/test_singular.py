@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padicsums.errors import BudgetExceededError, PreconditionError
-from padicsums.padic import PrimeContext
+from padicsums.padic import PrimeContext, clearing_exponent
 from padicsums.polymap import PolyMap, coefficient_floor, parse_polymap
 from padicsums.singular import count_fibers, fourier_check, stabilization_probe
 from tests.test_expsum import make_random_instance, random_substitutions, substitute_variables
@@ -163,7 +163,7 @@ def test_fourier_check_randomized():
     rng = random.Random(23)
     for _ in range(30):
         req = make_random_instance(rng, max_level=2)
-        m = max(req.level, 1)
+        m = max(clearing_exponent(req.y, req.ctx.p), 1)
         if (req.ctx.p ** (m + 2)) ** req.f.n > req.ctx.naive_budget:
             continue
         res = fourier_check(req.f, list(req.y), m, req.ctx)
