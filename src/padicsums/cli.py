@@ -38,6 +38,7 @@ from .decay import (
     write_decay_csv,
 )
 from .errors import (
+    MAX_DIGITS,
     BudgetExceededError,
     ConsistencyError,
     ParseError,
@@ -103,6 +104,8 @@ def parse_levels(text: str) -> tuple[int, int]:
     m = re.match(r"^(\d+)\.\.(\d+)$", text.strip())
     if not m:
         raise ParseError(f"bad level range {text!r}; expected m0..m1")
+    if max(len(m.group(1)), len(m.group(2))) > MAX_DIGITS:
+        raise ParseError(f"a --levels bound has more than {MAX_DIGITS} digits")
     m0, m1 = int(m.group(1)), int(m.group(2))
     if not 1 <= m0 <= m1:
         raise ParseError(f"bad level range {text!r}; need 1 <= m0 <= m1")
@@ -114,6 +117,8 @@ def parse_strategy(text: str, seed: int):
         return "exhaustive"
     m = re.match(r"^sample:(\d+)$", text)
     if m:
+        if len(m.group(1)) > MAX_DIGITS:
+            raise ParseError(f"the --strategy sample size has more than {MAX_DIGITS} digits")
         if int(m.group(1)) < 1:
             raise ParseError(f"bad strategy {text!r}; sample:N needs N >= 1")
         return ("sample", int(m.group(1)), seed)

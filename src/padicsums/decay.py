@@ -121,7 +121,7 @@ def sup_at_level(
     order they are drawn (sampled, repeats included), and the argmax is the
     first direction whose float magnitude is strictly larger than every
     earlier one: ties go to the lexicographically smallest u when exhaustive
-    and to the first drawn u when sampled.  Exhaustive sweeps require the
+    and to the first drawn u when sampled.  Either strategy requires its
     direction count to fit the context budget.
 
     For r = 1, E(u/p**m) depends only on the class of u mod p**M', the level
@@ -149,6 +149,8 @@ def sup_at_level(
         kind, count, seed = strategy
         if kind != "sample":
             raise ValueError(f"unknown strategy {strategy!r}")
+        if count > ctx.naive_budget:
+            raise BudgetExceededError(count, ctx.naive_budget, what="directions")
         directions = _sample_directions(p, m, f.r, count, seed)
 
     best_mag = 0.0
@@ -157,8 +159,7 @@ def sup_at_level(
     best_square: Fraction | None = None
 
     if f.r == 1:
-        sweep = eval_unit_directions(f, phi, m, ctx, (u for (u,) in directions))
-        iterator = (((u,), hist) for u, hist in sweep)
+        iterator = eval_unit_directions(f, phi, m, ctx, directions)
     else:
         mod = p**m
         iterator = (

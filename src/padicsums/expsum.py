@@ -25,7 +25,6 @@ throughout the test suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -124,34 +123,31 @@ class EvalResult:
 # ------------------------------------------------------------- coset descent
 
 
-def _shift_digit_mod(g: IntPoly, delta: Sequence[int], p: int, mod: int) -> IntPoly:
-    """G(delta + p*t) reduced mod ``mod``, variable by variable."""
-    out = g
-    for i, d in enumerate(delta):
-        nxt: IntPoly = {}
-        for exp, c in out.items():
-            e = exp[i]
-            if e == 0:
-                nc = (nxt.get(exp, 0) + c) % mod
-                if nc:
-                    nxt[exp] = nc
-                else:
-                    nxt.pop(exp, None)
+def _shift_variable(g: IntPoly, i: int, d: int, p: int, mod: int) -> IntPoly:
+    """G with x_i replaced by d + p*x_i, reduced mod ``mod``."""
+    out: IntPoly = {}
+    for exp, c in g.items():
+        e = exp[i]
+        if e == 0:
+            nc = (out.get(exp, 0) + c) % mod
+            if nc:
+                out[exp] = nc
+            else:
+                out.pop(exp, None)
+            continue
+        powd = 1
+        # expand (d + p*t)^e; iterate j descending so d-powers build up
+        for j in range(e, -1, -1):
+            term = c * comb(e, j) * powd % mod * pow(p, j, mod) % mod
+            powd = powd * d % mod
+            if not term:
                 continue
-            powd = 1
-            # expand (d + p*t)^e; iterate j descending so d-powers build up
-            for j in range(e, -1, -1):
-                term = c * comb(e, j) * powd % mod * pow(p, j, mod) % mod
-                powd = powd * d % mod
-                if not term:
-                    continue
-                nexp = exp[:i] + (j,) + exp[i + 1 :]
-                nc = (nxt.get(nexp, 0) + term) % mod
-                if nc:
-                    nxt[nexp] = nc
-                else:
-                    nxt.pop(nexp, None)
-        out = nxt
+            nexp = exp[:i] + (j,) + exp[i + 1 :]
+            nc = (out.get(nexp, 0) + term) % mod
+            if nc:
+                out[nexp] = nc
+            else:
+                out.pop(nexp, None)
     return out
 
 
@@ -174,7 +170,6 @@ def descend_cosets(
     handlers over this walk.  A walk of more than ``budget`` nodes raises
     BudgetExceededError, counting a split's children before building them.
     """
-    deltas = None
     stack = [(0, tuple(polys))]
     pushed = 1
     while stack:
@@ -185,11 +180,12 @@ def descend_cosets(
             pushed += p**n
             if pushed > budget:
                 raise BudgetExceededError(None, budget, what="coset nodes")
-            if deltas is None:
-                # children are pushed last digit vector first, so they pop in lex order
-                deltas = list(itertools.product(range(p), repeat=n))[::-1]
-            shifted = [[_shift_digit_mod(g, d, p, mod) for d in deltas] for g in polys]
-            stack.extend(zip(itertools.repeat(k + 1), zip(*shifted)))
+            children = [polys]  # shift x1, then x2 on each result, ...
+            for i in range(n):
+                children = [tuple(_shift_variable(g, i, d, p, mod) for g in c)
+                            for c in children for d in range(p)]
+            # pushed last child first, so they pop in digit-lexicographic order
+            stack.extend((k + 1, c) for c in reversed(children))
 
 
 def _classify(polys: tuple[IntPoly, ...]) -> str | None:
@@ -309,10 +305,10 @@ def eval_unit_directions(
     phi: SchwartzBruhat,
     m: int,
     ctx: PrimeContext,
-    units: Iterable[int],
-) -> Iterator[tuple[int, PhaseHistogram]]:
-    """Reduced histograms of E(u / p**m) for each of ``units`` (integers
-    prime to p), in the order given.
+    directions: Iterable[tuple[int]],
+) -> Iterator[tuple[tuple[int], PhaseHistogram]]:
+    """Reduced histograms of E(u / p**m) for each of ``directions`` (1-tuples
+    (u,) with u prime to p), in the order given.
 
     Only for r = 1.  A unit u rescales every coefficient of the phase
     polynomial by a p-adic unit, so the coset classification (vanishing of
@@ -331,10 +327,10 @@ def eval_unit_directions(
     base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
     mod = p**base.level
     classes: dict[int, PhaseHistogram] = {}
-    for u in units:
-        if u % p == 0:
+    for u in directions:
+        if u[0] % p == 0:
             raise ValueError(f"direction {u} is not a unit mod {p}")
-        hist = classes.get(u % mod)
+        hist = classes.get(u[0] % mod)
         if hist is None:
-            hist = classes[u % mod] = base.galois(u).reduced()
+            hist = classes[u[0] % mod] = base.galois(u[0]).reduced()
         yield u, hist

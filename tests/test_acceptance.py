@@ -67,7 +67,7 @@ def test_criterion_1_gauss_closed_form():
         for m in range(1, 7):
             expected = p ** (-m / 2)
             checked = 0
-            units = [u for (u,) in primitive_directions(p, m, 1)]
+            units = list(primitive_directions(p, m, 1))
             for u, hist in eval_unit_directions(f, phi, m, ctx, units):
                 mag, _ = hist.magnitude()
                 assert abs(mag - expected) < 1e-10, (p, m, u, mag)
@@ -128,7 +128,7 @@ def test_criterion_4_exact_vanishing():
         f = parse_polymap("x1", 1)
         phi = SchwartzBruhat.trivial(1)
         for m in range(1, 7):
-            units = [u for (u,) in primitive_directions(p, m, 1)]
+            units = list(primitive_directions(p, m, 1))
             for u, hist in eval_unit_directions(f, phi, m, ctx, units):
                 assert hist.counts == {} and hist.is_zero(), (p, m, u)
             if m <= 3:

@@ -312,6 +312,22 @@ def test_recursive_paths_keep_the_budget(capsys, argv, what):
     assert out == "" and f"more than 10 {what} needed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        # all N directions used to be drawn and swept, whatever the budget
+        (["decay", "--map", "x1;x2", "--levels", "1..1", "--strategy", "sample:100000"], 100000),
+        (["decay", "--map", "x1^2", "--levels", "1..1", "--strategy", "sample:1000000"], 1000000),
+    ],
+)
+def test_sampled_sweeps_keep_the_budget(capsys, argv, count):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BUDGET and out == ""
+    assert err == f"error: budget exceeded: {count} directions needed, budget is 10\n"
+
+
 DECAY_GOLDEN = json.loads((Path(__file__).parent / "data" / "decay_golden.json").read_text())
 
 
@@ -474,6 +490,11 @@ DIRECTIONS_OVER = "budget exceeded: more than 10 directions (use a sample strate
                      "rational '1/3^10000000' is too long to print", id="y-10000000"),
         pytest.param(["eval", "--map", "7" * 5000 + "*x1", "--y", "1/3"], EXIT_PARSE,
                      f"integer has more than {MAX_DIGITS} digits (at position 0)", id="literal"),
+        pytest.param(["decay", "--map", "x1^2", "--levels", "1..1", "--strategy", "sample:" + "1" * 5000],
+                     EXIT_PARSE, f"the --strategy sample size has more than {MAX_DIGITS} digits",
+                     id="sample-5000"),
+        pytest.param(["decay", "--map", "x1^2", "--levels", "1.." + "1" * 5000], EXIT_PARSE,
+                     f"a --levels bound has more than {MAX_DIGITS} digits", id="levels-5000"),
         # N = F = 3^10000, with 4,772 digits, in both output formats
         pytest.param(["density", "--map", "5", "--level", "10000"], EXIT_PARSE,
                      "a number in the output is too long to print", id="density-csv"),

@@ -1,6 +1,9 @@
+import functools
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,6 +11,8 @@ from padicsums.decay import primitive_directions
 from padicsums.errors import BudgetExceededError, PreconditionError, SeriesFloorError
 from padicsums.expsum import (
     EvalRequest,
+    _classify,
+    descend_cosets,
     eval_naive,
     eval_recursive,
     eval_series,
@@ -18,6 +23,7 @@ from padicsums.polymap import (
     PolyMap,
     RestrictedSeries,
     SchwartzBruhat,
+    integer_images,
     parse_polymap,
     poly_add,
     poly_const,
@@ -25,6 +31,7 @@ from padicsums.polymap import (
     poly_pow,
     poly_var,
 )
+from padicsums.singular import _hensel_box
 
 
 def make_random_instance(rng, p_choices=(2, 3, 5), max_level=3, budget=200_000):
@@ -211,6 +218,90 @@ def test_phase_descent_tree_is_pinned(text, n, m, p1, p2, splits):
     stats = eval_recursive(req).stats
     assert (stats.p1, stats.p2, stats.splits, stats.leaves) == (p1, p2, splits, p1 + p2)
 
+
+def _reference_shift(g, delta, p, mod):
+    """G(delta + p*t) mod ``mod``, shifting x1..xn anew for each digit vector."""
+    out = g
+    for i, d in enumerate(delta):
+        nxt = {}
+        for exp, c in out.items():
+            e = exp[i]
+            if e == 0:
+                nc = (nxt.get(exp, 0) + c) % mod
+                if nc:
+                    nxt[exp] = nc
+                else:
+                    nxt.pop(exp, None)
+                continue
+            powd = 1
+            for j in range(e, -1, -1):
+                term = c * comb(e, j) * powd % mod * pow(p, j, mod) % mod
+                powd = powd * d % mod
+                if not term:
+                    continue
+                nexp = exp[:i] + (j,) + exp[i + 1 :]
+                nc = (nxt.get(nexp, 0) + term) % mod
+                if nc:
+                    nxt[nexp] = nc
+                else:
+                    nxt.pop(nexp, None)
+        out = nxt
+    return out
+
+
+def _reference_walk(polys, mod, n, p, rule, k=0):
+    """Pre-order walk whose children are built one digit vector at a time,
+    in lexicographic order of the digit vector."""
+    label = rule(polys)
+    yield k, polys, label
+    if label is None:
+        for delta in itertools.product(range(p), repeat=n):
+            child = tuple(_reference_shift(g, delta, p, mod) for g in polys)
+            yield from _reference_walk(child, mod, n, p, rule, k + 1)
+
+
+def _random_integer_map(rng, p, n, r):
+    """r integer polynomials in n variables mod p**level, p**(level*n) <= 4096."""
+    level = rng.randint(1, max(e for e in range(1, 13) if p ** (e * n) <= 4096))
+    mod = p**level
+    polys = []
+    for _ in range(r):
+        poly = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = tuple(rng.randint(0, 3) for _ in range(n))
+            if sum(exp) <= 4:
+                poly[exp] = rng.randrange(1, p) * p ** rng.randint(0, 1) % mod
+        polys.append({exp: c for exp, c in poly.items() if c})
+    return polys, level, mod
+
+
+def test_coset_walk_is_pinned_node_by_node():
+    """The walk yields the same nodes, in the same order, as a walk that
+    builds each child from its digit vector: depth, polynomials and label."""
+    rng = random.Random(110)
+    cases = []
+    for _ in range(60):
+        req = make_random_instance(rng, budget=4096)
+        p, n = req.ctx.p, req.f.n
+        _, mod, (g,) = integer_images([req.phase_poly()], p, 0)
+        cases.append(((g,), mod, n, p, _classify))
+    for n in (1, 2, 3):
+        for _ in range(15):
+            p = rng.choice((2, 3, 5))
+            polys, _, mod = _random_integer_map(rng, p, n, 1)
+            cases.append((tuple(polys), mod, n, p, _classify))
+            p = rng.choice((2, 3, 5))
+            polys, level, mod = _random_integer_map(rng, p, n, 2)
+            rule = functools.partial(_hensel_box, n=n, p=p, level=level)
+            cases.append((tuple(polys), mod, n, p, rule))
+    split = set()
+    for polys, mod, n, p, rule in cases:
+        walk = list(descend_cosets(polys, mod, n, p, rule, 10**6))
+        assert walk == list(_reference_walk(polys, mod, n, p, rule)), (polys, mod, n, p)
+        if n > 1 and walk[0][2] is None:
+            split.add((n, p))
+    assert len(cases) >= 100 and split == {(n, p) for n in (2, 3) for p in (2, 3, 5)}
+
 def test_oracle_equivalence_randomized():
     rng = random.Random(100)
     for _ in range(60):
@@ -360,25 +451,25 @@ def test_unit_sweep_matches_per_direction_eval():
         f, phi, m, ctx = make_random_sweep_instance(rng)
         p = ctx.p
         units = []
-        all_units = [u for (u,) in primitive_directions(p, m, 1)]
+        all_units = list(primitive_directions(p, m, 1))
         for u, hist in eval_unit_directions(f, phi, m, ctx, all_units):
-            direct = eval_recursive(EvalRequest.of(f, [Fraction(u, p**m)], ctx, phi))
+            direct = eval_recursive(EvalRequest.of(f, [Fraction(u[0], p**m)], ctx, phi))
             assert hist == direct.histogram.reduced(), (f, phi, m, p, u)
             units.append(u)
-        assert units == [u for u in range(1, p**m) if u % p]
+        assert units == [(u,) for u in range(1, p**m) if u % p]
 
 
 def test_unit_sweep_over_given_units():
     f = parse_polymap("x1^3 + x1^2", 1)
     ctx = PrimeContext(3)
     phi = SchwartzBruhat.trivial(1)
-    units = [7, 2, 7, 25, 1]
+    units = [(7,), (2,), (7,), (25,), (1,)]
     swept = list(eval_unit_directions(f, phi, 3, ctx, units))
     assert [u for u, _ in swept] == units
-    full = dict(eval_unit_directions(f, phi, 3, ctx, [u for (u,) in primitive_directions(3, 3, 1)]))
+    full = dict(eval_unit_directions(f, phi, 3, ctx, primitive_directions(3, 3, 1)))
     assert all(hist == full[u] for u, hist in swept)
     with pytest.raises(ValueError):
-        list(eval_unit_directions(f, phi, 3, ctx, [3]))
+        list(eval_unit_directions(f, phi, 3, ctx, [(3,)]))
 
 
 def test_negated_frequency_is_the_conjugate():
@@ -417,6 +508,6 @@ def test_descent_node_budget():
 def test_unit_sweep_rejects_multi_component_maps():
     ctx = PrimeContext(3)
     f = parse_polymap("x1; x1^2", 1)
-    units = [u for (u,) in primitive_directions(3, 1, 1)]
+    units = list(primitive_directions(3, 1, 1))
     with pytest.raises(ValueError):
         list(eval_unit_directions(f, SchwartzBruhat.trivial(1), 1, ctx, units))
