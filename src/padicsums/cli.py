@@ -85,7 +85,17 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def _refuse_long_numerals(text: str, flag: str) -> None:
+    """ParseError, without echoing the numeral, if ``text`` has one with more
+    digits than int() and Fraction() convert (underscores do not count)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    runs = re.findall(r"\d+", text.replace("_", ""))
+    if limit and max(map(len, runs), default=0) > limit:
+        raise ParseError(f"a {flag} numeral has more than {limit} digits")
+
+
 def parse_y_vector(text: str) -> tuple[Fraction, ...]:
+    _refuse_long_numerals(text, "--y")
     return tuple(parse_rational(part) for part in text.split(","))
 
 
@@ -93,6 +103,7 @@ def parse_phi(text: str | None, n: int) -> SchwartzBruhat:
     """phi as a JSON list of {"center": [...], "k": int, "weight": "a/b"}."""
     if text is None:
         return SchwartzBruhat.trivial(n)
+    _refuse_long_numerals(text, "--phi")
     try:
         data = json.loads(text)
         return SchwartzBruhat.from_json_list(data, n)

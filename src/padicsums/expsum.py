@@ -31,9 +31,9 @@ from math import comb
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .grid import IntPoly, tally
-from .padic import PhaseHistogram, PrimeContext, Rational, clearing_exponent
+from .padic import PhaseHistogram, PrimeContext, Rational, _int_valuation, clearing_exponent
 from .polymap import (
+    IntPoly,
     Poly,
     PolyMap,
     RestrictedSeries,
@@ -123,8 +123,10 @@ class EvalResult:
 # ------------------------------------------------------------- coset descent
 
 
-def _shift_variable(g: IntPoly, i: int, d: int, p: int, mod: int) -> IntPoly:
-    """G with x_i replaced by d + p*x_i, reduced mod ``mod``."""
+def _shift_variable(g: IntPoly, i: int, d: int, p: int, mod: int, top: int) -> IntPoly:
+    """G with x_i replaced by d + p*x_i, reduced mod ``mod``.  Powers
+    (p*x_i)**j with j > ``top`` are not expanded: each such j exceeds x_i's
+    degree in G, or p**j vanishes mod ``mod``."""
     out: IntPoly = {}
     for exp, c in g.items():
         e = exp[i]
@@ -135,9 +137,11 @@ def _shift_variable(g: IntPoly, i: int, d: int, p: int, mod: int) -> IntPoly:
             else:
                 out.pop(exp, None)
             continue
-        powd = 1
         # expand (d + p*t)^e; iterate j descending so d-powers build up
-        for j in range(e, -1, -1):
+        j0, powd = e, 1
+        if e > top:
+            j0, powd = top, pow(d, e - top, mod)
+        for j in range(j0, -1, -1):
             term = c * comb(e, j) * powd % mod * pow(p, j, mod) % mod
             powd = powd * d % mod
             if not term:
@@ -172,6 +176,7 @@ def descend_cosets(
     """
     stack = [(0, tuple(polys))]
     pushed = 1
+    top = None  # the cap on the j that ``_shift_variable`` expands; set at the first split
     while stack:
         k, polys = stack.pop()
         label = rule(polys)
@@ -180,9 +185,12 @@ def descend_cosets(
             pushed += p**n
             if pushed > budget:
                 raise BudgetExceededError(None, budget, what="coset nodes")
+            if top is None:  # shifts never raise an exponent past the root's degree
+                degree = max((max(exp) for g in polys for exp in g), default=0)
+                top = degree if p**degree < mod else _int_valuation(mod, p) - 1
             children = [polys]  # shift x1, then x2 on each result, ...
             for i in range(n):
-                children = [tuple(_shift_variable(g, i, d, p, mod) for g in c)
+                children = [tuple(_shift_variable(g, i, d, p, mod, top) for g in c)
                             for c in children for d in range(p)]
             # pushed last child first, so they pop in digit-lexicographic order
             stack.extend((k + 1, c) for c in reversed(children))
@@ -231,8 +239,9 @@ def _naive_counts(
     g: IntPoly, level: int, mod: int, n: int, p: int, budget: int
 ) -> tuple[dict[int, int], PruneStats]:
     """Histogram counts of G(x) mod ``mod`` = p**level over all residue tuples."""
-    keys, counts = tally([g], mod, n, budget)
-    return dict(zip(keys.tolist(), counts.tolist())), PruneStats(points=mod**n)
+    from .grid import tally  # numpy: loaded only on the brute-force paths
+    (values,), counts = tally([g], mod, n, budget)
+    return dict(zip(values, counts)), PruneStats(points=mod**n)
 
 
 # ------------------------------------------------------------------ evaluators

@@ -10,8 +10,9 @@ monomials sum into 1-D vectors, and only mixed monomials and the final sum
 are broadcast over the block.  Values are reduced mod ``mod`` only where an
 int64 could otherwise overflow.
 
-A point's value is the encoded key ``sum_j G_j(x) * mod**(r-1-j)`` with
-every ``G_j(x)`` reduced into [0, mod); keys sort like the value tuples.
+Inside the kernel a point's value tuple is encoded as the key
+``sum_j G_j(x) * mod**(r-1-j)`` with every ``G_j(x)`` reduced into [0, mod),
+so keys sort like the value tuples; callers only ever see value tuples.
 When ``mod > 2**31`` (a product of two residues no longer fits an int64) the
 values and keys, and when ``mod**r > 2**62`` the keys, are exact Python
 integers in object arrays; the walk is the same.
@@ -24,9 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .polymap import Exponent
-
-IntPoly = dict[Exponent, int]
+from .polymap import IntPoly
 
 #: Grid points per block (a block is never less than one x1 row).
 BLOCK_POINTS = 1 << 15
@@ -129,7 +128,7 @@ def _power_axes(x: np.ndarray, max_e: int, mod: int, axis: int, n: int) -> list:
 def grid_blocks(
     comps: Sequence[IntPoly], mod: int, n: int, budget: int
 ) -> Iterator[np.ndarray]:
-    """Flat arrays of encoded keys over all of (Z/mod)^n, lexicographically.
+    """Flat arrays of point keys over all of (Z/mod)^n, lexicographically.
 
     Coefficients must lie in [0, mod).  Consecutive blocks cover consecutive
     runs of x1, so the i-th key overall belongs to the i-th point of
@@ -162,45 +161,36 @@ def grid_blocks(
 
 def tally(
     comps: Sequence[IntPoly], mod: int, n: int, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct encoded keys ascending, their point counts) over the grid."""
+) -> tuple[list[list[int]], list[int]]:
+    """(the r value columns of the distinct value tuples, ascending, and
+    their point counts) over the grid."""
     size = mod ** len(comps)
     if size <= DENSE_KEYS and mod <= INT64_MOD_MAX:
         counts = np.zeros(size, dtype=np.int64)
         for block in grid_blocks(comps, mod, n, budget):
             counts += np.bincount(block, minlength=size)
         keys = np.flatnonzero(counts)
-        return keys, counts[keys]
-    parts = [np.unique(block, return_counts=True) for block in grid_blocks(comps, mod, n, budget)]
-    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
-    return keys, counts
-
-
-def encode_key(values: Sequence[int], mod: int) -> int:
-    """The key sum_j values[j] * mod**(r-1-j) of residues in [0, mod)."""
-    key = 0
-    for v in values:
-        key = key * mod + v
-    return key
-
-
-def decode_keys(keys, mod: int, r: int) -> list[list[int]]:
-    """The r residue columns of the encoded ``keys``, inverting ``encode_key``."""
-    keys = np.asarray(keys, dtype=np.int64 if mod**r <= INT64_KEYS_MAX else object)
+        counts = counts[keys]
+    else:
+        parts = [np.unique(b, return_counts=True) for b in grid_blocks(comps, mod, n, budget)]
+        keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, where, np.concatenate([c for _, c in parts]))
     columns = []
-    for _ in range(r):
-        columns.append(keys % mod)
+    for _ in comps:
+        columns.append((keys % mod).tolist())
         keys = keys // mod
-    return [col.tolist() for col in reversed(columns)]
+    return columns[::-1], counts.tolist()
 
 
 def find_points(
-    comps: Sequence[IntPoly], mod: int, n: int, budget: int, target: int, limit: int
+    comps: Sequence[IntPoly], mod: int, n: int, budget: int, values: Sequence[int], limit: int
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """(number of points whose key is ``target``, the first ``limit`` of
-    them in lexicographic order)."""
+    """(number of points whose values are ``values``, each in [0, mod), and
+    the first ``limit`` of them in lexicographic order)."""
+    target = 0
+    for v in values:
+        target = target * mod + v
     total = 0
     found: list[tuple[int, ...]] = []
     offset = 0

@@ -3,7 +3,8 @@
 A polynomial in n variables is a dict mapping exponent tuples (length n,
 one entry per variable) to nonzero Fraction coefficients; {} is zero.
 Exact rational coefficients keep every downstream congruence computation
-faithful; modular integer images are produced on demand.
+faithful; modular integer images (``IntPoly``, int coefficients) are
+produced on demand.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .padic import INFINITY, Rational, clearing_exponent, residue, valuation
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Fraction]
+IntPoly = dict[Exponent, int]
 
 #: Largest exponent accepted by the parser (guards expansion blow-up).
 MAX_EXPONENT = 4096
@@ -153,8 +155,8 @@ def _substitute_one(a: Poly, i: int, c: Fraction, q: Fraction) -> Poly:
             else:
                 out.pop(exp, None)
             continue
-        # (c + q*t)^e expanded by the binomial theorem
-        for j in range(e + 1):
+        # (c + q*t)^e expanded by the binomial theorem; only q**e * t**e when c = 0
+        for j in range(e if c == 0 else 0, e + 1):
             term = coeff * comb(e, j) * c ** (e - j) * q**j
             if not term:
                 continue
@@ -179,7 +181,7 @@ def coefficient_floor(polys: Iterable[Poly], p: int) -> int:
     return clearing_exponent((c for a in polys for c in a.values()), p)
 
 
-def poly_mod_int(a: Poly, p: int, clear: int, mod: int) -> dict[Exponent, int]:
+def poly_mod_int(a: Poly, p: int, clear: int, mod: int) -> IntPoly:
     """Integer image of p**clear * a with coefficients reduced mod ``mod``.
 
     Requires every coefficient of p**clear * a to lie in Z_p (ValueError
@@ -189,7 +191,7 @@ def poly_mod_int(a: Poly, p: int, clear: int, mod: int) -> dict[Exponent, int]:
     return {exp: v for exp, v in images if v}
 
 
-def integer_images(polys: Sequence[Poly], p: int, level: int) -> tuple[int, int, list[dict]]:
+def integer_images(polys: Sequence[Poly], p: int, level: int) -> tuple[int, int, list[IntPoly]]:
     """(B, p**(level+B), the images of p**B * g mod p**(level+B)), with
     B = ``coefficient_floor(polys, p)``: integer polynomials whose values
     determine every g(x) mod p**level Z_p for x in Z_p^n."""

@@ -21,7 +21,6 @@ from typing import Sequence, TextIO
 
 from .errors import BudgetExceededError, PreconditionError
 from .expsum import EvalRequest, descend_cosets, eval_naive
-from .grid import decode_keys, encode_key, find_points, tally
 from .padic import (
     PhaseHistogram,
     PrimeContext,
@@ -120,9 +119,9 @@ class DensityTable:
         }
 
 
-def _table(f: PolyMap, m: int, p: int, clear: int, keys, counts: list[int]) -> DensityTable:
-    """DensityTable from encoded keys (ascending) and their point counts."""
-    columns = decode_keys(keys, p ** (m + clear), f.r)
+def _table(f: PolyMap, m: int, p: int, clear: int, columns, counts: list[int]) -> DensityTable:
+    """DensityTable from the value columns of the fibers (ascending) and
+    their point counts."""
     if clear:
         den = p**clear
         columns = [[Fraction(v, den) for v in col] for col in columns]
@@ -130,9 +129,10 @@ def _table(f: PolyMap, m: int, p: int, clear: int, keys, counts: list[int]) -> D
 
 
 def _count_naive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
+    from .grid import tally  # numpy: loaded only on the brute-force paths
     b, mod, comps = integer_images(f.components, ctx.p, m)
-    keys, counts = tally(comps, mod, f.n, ctx.naive_budget)
-    return _table(f, m, ctx.p, b, keys, counts.tolist())
+    columns, counts = tally(comps, mod, f.n, ctx.naive_budget)
+    return _table(f, m, ctx.p, b, columns, counts)
 
 
 def _hensel_box(polys, n: int, p: int, level: int) -> list[int] | None:
@@ -195,7 +195,7 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
     b, mod, comps = integer_images(f.components, p, m)
     m_eff = m + b
     zero = (0,) * n
-    counts: dict[int, int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     walk = descend_cosets(
         comps, mod, n, p, lambda polys: _hensel_box(polys, n, p, m_eff), ctx.naive_budget
     )
@@ -211,10 +211,9 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
             range(g.get(zero, 0) % p**lam, mod, p**lam) for g, lam in zip(polys, lams)
         ]
         for values in itertools.product(*sides):
-            key = encode_key(values, mod)
-            counts[key] = counts.get(key, 0) + weight
+            counts[values] = counts.get(values, 0) + weight
     keys = sorted(counts)
-    return _table(f, m, p, b, keys, [counts[k] for k in keys])
+    return _table(f, m, p, b, list(zip(*keys)), [counts[k] for k in keys])
 
 
 def count_fibers(
@@ -340,6 +339,7 @@ def _preimages(
     f: PolyMap, z: tuple[int, ...], m: int, ctx: PrimeContext, limit: int
 ) -> tuple[int, list[tuple[int, ...]]]:
     """(total count, first ``limit`` solutions of f(x) = z mod p**m in lex order)."""
+    from .grid import find_points  # numpy: loaded only on the brute-force paths
     b, mod, comps = integer_images(f.components, ctx.p, m)
-    target = encode_key([residue(c, ctx.p, b, mod) for c in z], mod)
-    return find_points(comps, mod, f.n, ctx.naive_budget, target, limit)
+    values = [residue(c, ctx.p, b, mod) for c in z]
+    return find_points(comps, mod, f.n, ctx.naive_budget, values, limit)

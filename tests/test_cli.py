@@ -312,6 +312,18 @@ def test_recursive_paths_keep_the_budget(capsys, argv, what):
     assert out == "" and f"more than 10 {what} needed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["x1^4096", "x1^4096*x2^4096", "x1^4096+x2^4096"])
+def test_degrees_above_the_level_expand_only_live_powers(capsys, text):
+    # mod 3 only the t**0 term of (d + 3t)**4096 is live; expanding all 4097
+    # binomial terms per shift took 5-17 s
+    argv = ["eval", "--prime", "3", "--map", text, "--y", "1/3", "--budget", "10"]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    _, naive, _ = run(capsys, *argv, "--method", "naive")
+    assert code == EXIT_OK and json.loads(out)["histogram"] == json.loads(naive)["histogram"]
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [
@@ -470,7 +482,34 @@ def test_closed_stdout_exits_2_without_a_traceback(buffered, argv):
         assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["eval", "--map", "x1^2", "--y", "1/3"], False),
+        (["decay", "--map", "x1^2", "--levels", "1..3"], False),
+        # the 3^10-point grid is over budget: ``auto`` counts recursively
+        (["density", "--map", "x1^3+x2^2", "--level", "5", "--budget", "1000"], False),
+        (["eval", "--map", "x1^2", "--y", "1/3", "--method", "naive"], True),
+    ],
+    ids=["eval", "decay", "density-fallback", "eval-naive"],
+)
+def test_only_the_residue_grid_imports_numpy(argv, loads_numpy):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys\n"
+        "from padicsums.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
+
+
 DIRECTIONS_OVER = "budget exceeded: more than 10 directions (use a sample strategy) needed, budget is 10"
+LONG_Y = f"a --y numeral has more than {sys.get_int_max_str_digits()} digits"
+LONG_PHI = f"a --phi numeral has more than {sys.get_int_max_str_digits()} digits"
 
 
 @pytest.mark.parametrize(
@@ -504,6 +543,22 @@ DIRECTIONS_OVER = "budget exceeded: more than 10 directions (use a sample strate
         pytest.param(["eval", "--map", "x1", "--y", "1",
                       "--phi", '[{"center": ["0"], "k": 10000, "weight": "1"}]'], EXIT_PARSE,
                      "a number in the output is too long to print", id="eval-scale"),
+        # numerals longer than int() converts, refused before converting them
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/" + "7" * 5000 + "^2"], EXIT_PARSE,
+                     LONG_Y, id="y-base-5000"),
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/3^" + "1" * 5000], EXIT_PARSE,
+                     LONG_Y, id="y-exponent-5000"),
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/" + "7" * 5000], EXIT_PARSE,
+                     LONG_Y, id="y-denominator-5000"),
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/3",
+                      "--phi", '[{"center": ["' + "7" * 5000 + '"], "k": 0, "weight": "1"}]'],
+                     EXIT_PARSE, LONG_PHI, id="phi-center-5000"),
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/3",
+                      "--phi", '[{"center": ["0"], "k": 0, "weight": "1/' + "7" * 5000 + '"}]'],
+                     EXIT_PARSE, LONG_PHI, id="phi-weight-5000"),
+        pytest.param(["eval", "--map", "x1^2", "--y", "1/3",
+                      "--phi", '[{"center": ["0"], "k": ' + "1" * 5000 + ', "weight": "1"}]'],
+                     EXIT_PARSE, LONG_PHI, id="phi-k-5000"),
     ],
 )
 def test_numbers_too_long_to_print(capsys, argv, code, message):

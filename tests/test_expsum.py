@@ -294,6 +294,10 @@ def test_coset_walk_is_pinned_node_by_node():
             polys, level, mod = _random_integer_map(rng, p, n, 2)
             rule = functools.partial(_hensel_box, n=n, p=p, level=level)
             cases.append((tuple(polys), mod, n, p, rule))
+    # degrees above the level: p**j vanishes mod p**level before j reaches e
+    cases.append((({(9, 0): 2, (4, 1): 1, (0, 5): 1},), 3**2, 2, 3, _classify))
+    box = functools.partial(_hensel_box, n=2, p=2, level=3)
+    cases.append((({(7, 5): 1, (0, 3): 3}, {(6, 0): 1, (0, 1): 2}), 2**3, 2, 2, box))
     split = set()
     for polys, mod, n, p, rule in cases:
         walk = list(descend_cosets(polys, mod, n, p, rule, 10**6))
