@@ -57,6 +57,13 @@ EXIT_CONSISTENCY = 5
 
 _Y_SUGAR = re.compile(r"^(-?\d+)/(\d+)\^(\d+)$")
 
+#: Largest |k| of a --phi ball c + p**k Z_p^n.  The evaluators substitute
+#: c + p**k t into the map before any budget counts their work, which for
+#: k < 0 grows with the square of |k| times the map's degree; and past
+#: k = 14,300 the ball's measure p**(-k*n) alone has more digits than Python
+#: prints.
+MAX_BALL_EXPONENT = 20_000
+
 
 def parse_rational(text: str) -> Fraction:
     """Rationals 'a/b' plus the sugar 'u/p^m' for u / p**m.  Every y is echoed
@@ -100,15 +107,21 @@ def parse_y_vector(text: str) -> tuple[Fraction, ...]:
 
 
 def parse_phi(text: str | None, n: int) -> SchwartzBruhat:
-    """phi as a JSON list of {"center": [...], "k": int, "weight": "a/b"}."""
+    """phi as a JSON list of {"center": [...], "k": int, "weight": "a/b"},
+    each |k| at most MAX_BALL_EXPONENT."""
     if text is None:
         return SchwartzBruhat.trivial(n)
     _refuse_long_numerals(text, "--phi")
     try:
         data = json.loads(text)
-        return SchwartzBruhat.from_json_list(data, n)
+        phi = SchwartzBruhat.from_json_list(data, n)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad phi spec: {exc}") from None
+    if any(abs(ball.k) > MAX_BALL_EXPONENT for ball in phi.terms):
+        raise ParseError(
+            f"a --phi ball's k lies outside -{MAX_BALL_EXPONENT}..{MAX_BALL_EXPONENT}"
+        )
+    return phi
 
 
 def parse_levels(text: str) -> tuple[int, int]:

@@ -127,38 +127,41 @@ def sup_at_level(
     For r = 1, E(u/p**m) depends only on the class of u mod p**M', the level
     of its reduced histogram (``eval_unit_directions``), so each class is
     measured once: a later unit of a measured class has the same float and
-    cannot be strictly larger.
+    cannot be strictly larger.  An exhaustive level therefore visits only the
+    smallest unit of each class, in ascending order, while its budget still
+    counts every primitive direction.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
     p = ctx.p
+    r = f.r
     exhaustive = strategy == "exhaustive"
     if exhaustive:
         # total >= p**((m-1)*r): past both the budget and 10**MAX_DIGITS, it
         # exceeds the budget and is too long to state, so it is not built
-        if power_exceeds(p, (m - 1) * f.r, max(ctx.naive_budget, 10**MAX_DIGITS)):
+        if power_exceeds(p, (m - 1) * r, max(ctx.naive_budget, 10**MAX_DIGITS)):
             total = None
         else:
-            total = primitive_direction_count(p, m, f.r)
+            total = primitive_direction_count(p, m, r)
         if total is None or total > ctx.naive_budget:
             raise BudgetExceededError(
                 total, ctx.naive_budget, what="directions (use a sample strategy)"
             )
-        directions = primitive_directions(p, m, f.r)
+        directions = None if r == 1 else primitive_directions(p, m, r)
     else:
         kind, count, seed = strategy
         if kind != "sample":
             raise ValueError(f"unknown strategy {strategy!r}")
         if count > ctx.naive_budget:
             raise BudgetExceededError(count, ctx.naive_budget, what="directions")
-        directions = _sample_directions(p, m, f.r, count, seed)
+        directions = _sample_directions(p, m, r, count, seed)
 
     best_mag = 0.0
     best_err = 0.0
     best_u: tuple[int, ...] | None = None
     best_square: Fraction | None = None
 
-    if f.r == 1:
+    if r == 1:
         iterator = eval_unit_directions(f, phi, m, ctx, directions)
     else:
         mod = p**m
@@ -169,11 +172,14 @@ def sup_at_level(
         )
 
     measured: set[int] = set()  # classes of u mod p**M' already measured (r = 1)
+    class_mod = 0  # p**M', read from the first nonzero histogram: every unit shares it
     for u, hist in iterator:
         if not hist.counts:
             continue
-        if f.r == 1:
-            cls = u[0] % p**hist.level
+        if r == 1:
+            if not class_mod:
+                class_mod = p**hist.level
+            cls = u[0] % class_mod
             if cls in measured:
                 continue
             measured.add(cls)

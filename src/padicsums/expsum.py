@@ -314,10 +314,12 @@ def eval_unit_directions(
     phi: SchwartzBruhat,
     m: int,
     ctx: PrimeContext,
-    directions: Iterable[tuple[int]],
+    directions: Iterable[tuple[int]] | None,
 ) -> Iterator[tuple[tuple[int], PhaseHistogram]]:
     """Reduced histograms of E(u / p**m) for each of ``directions`` (1-tuples
-    (u,) with u prime to p), in the order given.
+    (u,) with u prime to p), in the order given.  ``None`` stands for the
+    ascending units below min(max(p**M', p), p**m): the smallest unit below
+    p**m of each class mod p**M', and no other unit unless M' = 0.
 
     Only for r = 1.  A unit u rescales every coefficient of the phase
     polynomial by a p-adic unit, so the coset classification (vanishing of
@@ -335,6 +337,8 @@ def eval_unit_directions(
     p = ctx.p
     base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
     mod = p**base.level
+    if directions is None:  # at M' = 0 all units form one class; its smallest, 1, is below p
+        directions = ((u,) for u in range(1, min(max(mod, p), p**m)) if u % p)
     classes: dict[int, PhaseHistogram] = {}
     for u in directions:
         if u[0] % p == 0:

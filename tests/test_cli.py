@@ -16,6 +16,7 @@ from padicsums.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    MAX_BALL_EXPONENT,
     main,
     parse_rational,
     parse_y_vector,
@@ -322,6 +323,34 @@ def test_degrees_above_the_level_expand_only_live_powers(capsys, text):
     assert time.perf_counter() - start < 1.0
     _, naive, _ = run(capsys, *argv, "--method", "naive")
     assert code == EXIT_OK and json.loads(out)["histogram"] == json.loads(naive)["histogram"]
+
+
+def _one_ball(k):
+    return '[{"center": ["0"], "k": %d, "weight": "1"}]' % k
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # the ball's p**k used to be built and substituted before any budget
+        # check: 3 s to exit 3 at k = -300000, and k = 30000000 ran past 12 s
+        (["eval", "--y", "1/3", "--phi", _one_ball(-300000)], EXIT_PARSE, None),
+        (["eval", "--y", "1/3", "--phi", _one_ball(30000000)], EXIT_PARSE, None),
+        (["decay", "--levels", "1..2", "--phi", _one_ball(MAX_BALL_EXPONENT + 1)], EXIT_PARSE, None),
+        (["decay", "--levels", "1..2", "--phi", _one_ball(-MAX_BALL_EXPONENT - 1)], EXIT_PARSE, None),
+        # the bounds themselves are accepted
+        (["eval", "--y", "1/3", "--phi", _one_ball(-MAX_BALL_EXPONENT)], EXIT_BUDGET,
+         "budget exceeded: more than 10 coset nodes needed, budget is 10"),
+        (["eval", "--y", "1/3", "--phi", _one_ball(MAX_BALL_EXPONENT)], EXIT_PARSE,
+         "a number in the output is too long to print"),
+    ],
+)
+def test_phi_ball_exponents_are_bounded_before_any_work(capsys, argv, code, message):
+    message = message or f"a --phi ball's k lies outside -{MAX_BALL_EXPONENT}..{MAX_BALL_EXPONENT}"
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv, "--map", "x1^2", "--budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert got == code and out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import padicsums.decay
 from padicsums.decay import (
     ABS_SQUARE_CLASS_LIMIT,
     DecayRecord,
@@ -14,7 +15,7 @@ from padicsums.decay import (
     sup_at_level,
 )
 from padicsums.errors import BudgetExceededError, ExactVanishingError, FitError
-from padicsums.expsum import EvalRequest, eval_recursive
+from padicsums.expsum import EvalRequest, eval_recursive, eval_unit_directions
 from padicsums.padic import PrimeContext
 from padicsums.polymap import SchwartzBruhat, parse_polymap
 from tests.test_expsum import make_random_sweep_instance
@@ -128,6 +129,47 @@ def test_sup_at_level_matches_per_direction_reference():
     f = parse_polymap("x1^2 + x1; x1^3", 1)
     for strategy in ("exhaustive", ("sample", 12, 3)):
         assert sup_at_level(f, PHI1, 2, strategy, CTX3) == _reference_record(f, PHI1, 2, strategy, CTX3)
+
+
+def test_exhaustive_unit_level_visits_one_unit_per_class(monkeypatch):
+    """An exhaustive r=1 level measures the ascending units below
+    min(max(p**M', p), p**m), where M' is the level of the reduced
+    E(1/p**m), though its budget counts all phi(p**m) units."""
+    visits = []
+
+    def counted(*args):
+        for u, hist in eval_unit_directions(*args):
+            visits.append(u)
+            yield u, hist
+
+    monkeypatch.setattr(padicsums.decay, "eval_unit_directions", counted)
+
+    def visited(f, phi, m, ctx):
+        visits.clear()
+        sup_at_level(f, phi, m, "exhaustive", ctx)
+        return visits
+
+    cube = parse_polymap("x1^3", 1)
+    # M' = 0: E(u/27) is 1/3 for each of the 18 units, and the stream is 1, 2
+    assert visited(cube, PHI1, 3, CTX3) == [(1,), (2,)]
+    # M' = 2 < m = 5: one unit per class mod 9, not 162 units
+    assert visited(cube, PHI1, 5, CTX3) == [(1,), (2,), (4,), (5,), (7,), (8,)]
+    # M' = 6 > m = 3 for a ball centred outside Z_p: every unit below 27
+    ball = SchwartzBruhat.ball([Fraction(1, 3)], 0, 1)
+    assert visited(parse_polymap("x1^2 + x1^3", 1), ball, 3, CTX3) == [
+        (u,) for u in range(1, 27) if u % 3
+    ]
+    assert sup_at_level(cube, PHI1, 3, "exhaustive", PrimeContext(3, 18)).argmax == (1,)
+    with pytest.raises(BudgetExceededError):
+        sup_at_level(cube, PHI1, 3, "exhaustive", PrimeContext(3, 17))
+
+    rng = random.Random(109)
+    for _ in range(60):
+        f, phi, m, ctx = make_random_sweep_instance(rng)
+        p = ctx.p
+        level = eval_recursive(EvalRequest.of(f, [Fraction(1, p**m)], ctx, phi)).histogram.reduced().level
+        end = min(max(p**level, p), p**m)
+        assert visited(f, phi, m, ctx) == [(u,) for u in range(1, end) if u % p], (f, phi, m, p)
 
 
 def test_sampled_ties_go_to_the_first_drawn_direction():
