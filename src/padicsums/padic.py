@@ -76,8 +76,20 @@ def is_prime(n: int) -> bool:
 def _int_valuation(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer: p, p**2, p**4, ... are divided
     out while they divide, then the smaller squares again, one binary digit
-    of the exponent each, so it takes O(log v) divisions, not v."""
+    of the exponent each, so it takes O(log v) divisions, not v.  A pure
+    power of p, such as a level's denominator, is answered first without
+    dividing: the only p**k of its bit length is compared with it."""
     n = abs(n)
+    if n % p:
+        return 0
+    bits = n.bit_length()
+    k = int((bits - 1) / math.log2(p))
+    power = p**k
+    while power.bit_length() < bits:
+        power *= p
+        k += 1
+    if power == n:
+        return k
     v = 0
     squares = [p]  # p**(2**k)
     while n % squares[-1] == 0:
@@ -223,24 +235,33 @@ class PhaseHistogram:
     def conjugate(self) -> "PhaseHistogram":
         return self.galois(-1)
 
-    def abs_square(self) -> "PhaseHistogram":
-        """Histogram of |value|**2 = value * conj(value).
-
-        Quadratic in the number of stored classes; intended for reduced
-        histograms, where it decides magnitude comparisons exactly.
-        """
-        mod = self.p**self.level
-        conj = self.conjugate()
+    def __mul__(self, other: "PhaseHistogram") -> "PhaseHistogram":
+        """Product of the represented values: the counts convolved at the
+        common level, the scales multiplied.  Quadratic in the number of
+        stored classes; the result is not reduced."""
+        if self.p != other.p:
+            raise ValueError("cannot multiply histograms over different primes")
+        level = max(self.level, other.level)
+        mod = self.p**level
+        right = other._lifted_counts(level)
         counts: dict[int, int] = {}
-        for k1, c1 in self.counts.items():
-            for k2, c2 in conj.counts.items():
+        for k1, c1 in self._lifted_counts(level).items():
+            for k2, c2 in right.items():
                 k = (k1 + k2) % mod
                 nc = counts.get(k, 0) + c1 * c2
                 if nc:
                     counts[k] = nc
                 else:
                     counts.pop(k, None)
-        return PhaseHistogram(self.p, self.level, counts, self.scale * self.scale)
+        return PhaseHistogram(self.p, level, counts, self.scale * other.scale)
+
+    def abs_square(self) -> "PhaseHistogram":
+        """Histogram of |value|**2 = value * conj(value).
+
+        Intended for reduced histograms, where it decides magnitude
+        comparisons exactly.
+        """
+        return self * self.conjugate()
 
     # ------------------------------------------------------------- normal form
 

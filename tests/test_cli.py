@@ -86,6 +86,25 @@ def test_eval_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_separable_phase_walks_each_group_within_the_budget(capsys):
+    """x1^2 + x2^5 at p = 5, m = 8: the joint walk needs 406,901 nodes, the
+    walks of x1 and of x2 need 1,412 together."""
+    argv = ["eval", "--prime", "5", "--map", "x1^2+x2^5", "--y", "1/5^8", "--budget", "5000"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["histogram"] == {"M": 0, "counts": {"0": 1}, "p": 5, "scale": "1/15625"}
+
+
+def test_product_of_group_sums_keeps_the_budget(capsys):
+    """x1^3+x1 and x2^3+x2 at p = 13, m = 2 each walk 14 nodes to a sum of
+    13 classes, so their product pairs 169 classes."""
+    argv = ["eval", "--prime", "13", "--map", "x1^3+x1+x2^3+x2", "--y", "1/13^2"]
+    code, out, err = run(capsys, *argv, "--budget", "100")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.splitlines() == ["error: budget exceeded: 169 phase class pairs needed, budget is 100"]
+    assert run(capsys, *argv, "--budget", "169")[0] == EXIT_OK
+
+
 def test_eval_parse_error_exit(capsys):
     code, _, err = run(capsys, "eval", "--prime", "3", "--map", "x1 + *", "--y", "1")
     assert code == EXIT_PARSE

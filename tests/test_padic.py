@@ -151,6 +151,34 @@ def test_power_exceeds_decides_without_building_large_powers():
 # ---------------------------------------------------------------- histograms
 
 
+def test_valuation_of_pure_powers_and_their_multiples():
+    """p**k * w for a unit w (so p**k itself too) and for a w that p
+    divides, against dividing out p one factor at a time."""
+
+    def by_single_factors(n, p):
+        n, v = abs(n), 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        return v
+
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7):
+        for k in [0, 1, 2, 63, 64, 65, 10**4] + [rng.randint(0, 2000) for _ in range(5)]:
+            unit = rng.choice([1, -1, p - 1 or 1, rng.randint(1, 10**9) * p + 1])
+            for w in (unit, p * unit, p**3 * unit, (p + 1) ** 5 * p):
+                n = p**k * w
+                assert valuation(n, p) == by_single_factors(n, p), (p, k, w)
+
+
+def test_valuation_of_a_very_long_pure_power_is_fast():
+    """A level's denominator 5**400000 took ~1.4 s by squaring divisions."""
+    y = Fraction(2, 5**400_000)
+    start = time.perf_counter()
+    assert clearing_exponent([y], 5) == 400_000
+    assert residue(y, 5, 400_000, 5**400_001) == 2
+    assert time.perf_counter() - start < 0.5
+
+
 def hist(p, level, counts, scale=1):
     return PhaseHistogram(p, level, dict(counts), Fraction(scale))
 
@@ -304,6 +332,28 @@ def test_rotate_and_conjugate():
     c = h.conjugate()
     mag_c, _ = c.magnitude()
     assert abs(mag_h - mag_c) < 1e-12
+
+
+def _complex_value(h):
+    return float(h.scale) * sum(c * cmath.exp(2j * math.pi * k / h.p**h.level) for k, c in h.counts.items())
+
+
+def test_product_multiplies_values_across_levels():
+    rng = random.Random(8)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        a, b, c = (
+            hist(p, level, {rng.randrange(p**level): rng.randint(-3, 3) for _ in range(4)},
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+            for level in (rng.randint(0, 3) for _ in range(3))
+        )
+        product = a * b
+        assert product.level == max(a.level, b.level)
+        assert abs(_complex_value(product) - _complex_value(a) * _complex_value(b)) < 1e-9
+        assert (a * (b + c)).reduced() == (a * b + a * c).reduced()
+        assert (b * a).reduced() == product.reduced()
+        x = Fraction(rng.randrange(p**3), p ** rng.randint(0, 3))
+        assert (a * one_class(p, x)).reduced() == a.rotated(x).reduced()
 
 
 def test_abs_square_is_rational_for_gauss_like_values():
