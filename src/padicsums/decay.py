@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
 from .errors import MAX_DIGITS, BudgetExceededError, ExactVanishingError, FitError
-from .expsum import EvalRequest, eval_recursive, eval_unit_directions
+from .expsum import eval_unit_directions
 from .padic import INFINITY, PhaseHistogram, PrimeContext, power_exceeds
 from .polymap import DegreeData, PolyMap, SchwartzBruhat, check_affine_independence, degree_data
 
@@ -122,7 +122,8 @@ def sup_at_level(
     first direction whose float magnitude is strictly larger than every
     earlier one: ties go to the lexicographically smallest u when exhaustive
     and to the first drawn u when sampled.  Either strategy requires its
-    direction count to fit the context budget.
+    direction count to fit the context budget.  Every r streams its
+    directions through one ``eval_unit_directions`` call.
 
     For r = 1, E(u/p**m) depends only on the class of u mod p**M', the level
     of its reduced histogram (``eval_unit_directions``), so each class is
@@ -161,19 +162,9 @@ def sup_at_level(
     best_u: tuple[int, ...] | None = None
     best_square: Fraction | None = None
 
-    if r == 1:
-        iterator = eval_unit_directions(f, phi, m, ctx, directions)
-    else:
-        mod = p**m
-        iterator = (
-            (u, eval_recursive(EvalRequest.of(f, [Fraction(c, mod) for c in u], ctx, phi))
-             .histogram.reduced())
-            for u in directions
-        )
-
     measured: set[int] = set()  # classes of u mod p**M' already measured (r = 1)
     class_mod = 0  # p**M', read from the first nonzero histogram: every unit shares it
-    for u, hist in iterator:
+    for u, hist in eval_unit_directions(f, phi, m, ctx, directions):
         if not hist.counts:
             continue
         if r == 1:

@@ -34,6 +34,13 @@ visit the whole node budget, and the products may pair at most that many
 phase classes in all.  The work counts (``PruneStats``) sum over the
 groups.  ``eval_naive`` and the fiber counter do not split: they stay the
 oracles.
+
+``eval_unit_directions`` sweeps the directions u of one decay level m.
+For r = 1 it evaluates E(1 / p**m) once and relabels it by the Galois
+action.  For r >= 2 it integerizes each ball's components once per level
+(``integer_images`` at level m) and walks each direction's integer
+combination sum_j u_j G_j mod p**(m+B) with ``_split_walk``, so no
+direction builds rational polynomials of its own.
 """
 
 from __future__ import annotations
@@ -378,27 +385,60 @@ def eval_unit_directions(
     phi: SchwartzBruhat,
     m: int,
     ctx: PrimeContext,
-    directions: Iterable[tuple[int]] | None,
-) -> Iterator[tuple[tuple[int], PhaseHistogram]]:
-    """Reduced histograms of E(u / p**m) for each of ``directions`` (1-tuples
-    (u,) with u prime to p), in the order given.  ``None`` stands for the
-    ascending units below min(max(p**M', p), p**m): the smallest unit below
-    p**m of each class mod p**M', and no other unit unless M' = 0.
+    directions: Iterable[tuple[int, ...]] | None,
+) -> Iterator[tuple[tuple[int, ...], PhaseHistogram]]:
+    """Reduced histograms of E(u / p**m) for each of ``directions`` (r-tuples
+    u with a coordinate prime to p), in the order given.
 
-    Only for r = 1.  A unit u rescales every coefficient of the phase
-    polynomial by a p-adic unit, so the coset classification (vanishing of
-    coefficients mod p**M) is identical for all u, and E(u / p**m) is the
-    Galois conjugate sigma_u E(1 / p**m), where sigma_u sends zeta to
-    zeta**u.  One recursive evaluation gives R = E(1 / p**m), reduced at
-    level M'; sigma_u R depends only on u mod p**M', so each class of units
-    mod p**M' is relabelled and reduced once, and its histogram (one shared
-    object) is yielded for every unit of the class.
+    For r >= 2 each ball c + p**k Z_p^n of phi is integerized once per
+    level: ``integer_images`` turns its components f_j(c + p**k t) into
+    integer polynomials G_j = p**B f_j mod p**(m+B), so u's phase on the
+    ball is G_u / p**(m+B) with G_u = sum_j u_j G_j.  Each direction walks
+    G_u per ball (``_split_walk``) and sums the weighted means, as
+    ``eval_recursive`` does.  When u's phase clears at a smaller level L,
+    G_u = p**(m+B-L) G' for the G' its own walk would take at level L: a
+    coefficient vanishes mod p**(m+B) exactly when its part in G' vanishes
+    mod p**L, so both walks meet the same tree and give the same reduced
+    histogram.  ``None`` is not accepted: the caller streams the
+    directions.
+
+    For r = 1, ``None`` stands for the ascending units below
+    min(max(p**M', p), p**m): the smallest unit below p**m of each class
+    mod p**M', and no other unit unless M' = 0.  A unit u rescales every
+    coefficient of the phase polynomial by a p-adic unit, so the coset
+    classification (vanishing of coefficients mod p**M) is identical for
+    all u, and E(u / p**m) is the Galois conjugate sigma_u E(1 / p**m),
+    where sigma_u sends zeta to zeta**u.  One recursive evaluation gives
+    R = E(1 / p**m), reduced at level M'; sigma_u R depends only on u mod
+    p**M', so each class of units mod p**M' is relabelled and reduced once,
+    and its histogram (one shared object) is yielded for every unit of the
+    class.
     """
-    if f.r != 1:
-        raise ValueError("unit-direction sweep applies to single-component maps")
     if m < 1:
         raise ValueError("sweep level must be >= 1")
-    p = ctx.p
+    p, n = ctx.p, f.n
+    if f.r > 1:
+        if directions is None:
+            raise ValueError("a multi-component sweep needs its directions")
+        balls = []
+        for ball in phi.terms:
+            parts = [substitute_affine(c, ball.center, Fraction(p) ** ball.k, n) for c in f.components]
+            clear, mod, images = integer_images(parts, p, m)
+            balls.append((m + clear, mod, images, ball.weight * Fraction(p) ** (-ball.k * n)))
+        for u in directions:
+            if len(u) != f.r or not any(c % p for c in u):
+                raise ValueError(f"direction {u} is not a primitive {f.r}-vector mod {p}")
+            total = PhaseHistogram.zero(p)
+            for level, mod, images, weight in balls:
+                g: IntPoly = {}
+                for c, image in zip(u, images):
+                    for exp, a in image.items():
+                        g[exp] = (g.get(exp, 0) + c * a) % mod
+                g = {exp: a for exp, a in g.items() if a}
+                mean, _ = _split_walk(g, level, mod, n, p, ctx.naive_budget)
+                total = total + mean.scaled(weight)
+            yield u, total.reduced()
+        return
     base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
     mod = p**base.level
     if directions is None:  # at M' = 0 all units form one class; its smallest, 1, is below p

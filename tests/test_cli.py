@@ -397,7 +397,8 @@ DECAY_GOLDEN = json.loads((Path(__file__).parent / "data" / "decay_golden.json")
 def test_decay_output_bytes_are_pinned(capsys, case):
     """stdout (the CSV, then the JSON), stderr and exit code of ``decay``,
     recorded once: a square (CONSISTENT), an r=2 map, a sampled sweep, a
-    linear map (VACUOUS) and a constant map."""
+    linear map (VACUOUS), a constant map, a sampled r=2 sweep and an r=2
+    sweep under a two-ball weight centred outside Z_p."""
     code, out, err = run(capsys, *case["argv"])
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
@@ -410,8 +411,11 @@ def test_decay_output_bytes_are_pinned(capsys, case):
         # the count 3^3000000 - 3^2999999 was built only to be compared
         (["decay", "--map", "x1^2", "--levels", "3000000..3000000"],
          "directions (use a sample strategy)", 0.1),
+        # each r=2 direction built its own Fractions over 3^300000 before its walk
+        (["decay", "--map", "x1;x2^2", "--levels", "300000..300000", "--strategy", "sample:1"],
+         "coset nodes", 1.0),
     ],
-    ids=["density", "decay"],
+    ids=["density", "decay", "decay-r2-sampled"],
 )
 def test_budget_checks_at_high_levels_build_no_huge_powers(capsys, argv, what, seconds):
     start = time.perf_counter()

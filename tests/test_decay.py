@@ -17,7 +17,7 @@ from padicsums.decay import (
 from padicsums.errors import BudgetExceededError, ExactVanishingError, FitError
 from padicsums.expsum import EvalRequest, eval_recursive, eval_unit_directions
 from padicsums.padic import PrimeContext
-from padicsums.polymap import SchwartzBruhat, parse_polymap
+from padicsums.polymap import SchwartzBruhat, coefficient_floor, parse_polymap, substitute_affine
 from tests.test_expsum import make_random_sweep_instance
 
 CTX3 = PrimeContext(3)
@@ -120,7 +120,7 @@ def test_sup_at_level_matches_per_direction_reference():
         strategy = "exhaustive" if i % 2 else ("sample", rng.randint(1, 20), rng.randint(0, 99))
         got = sup_at_level(f, phi, m, strategy, ctx)
         assert got == _reference_record(f, phi, m, strategy, ctx), (f, phi, m, ctx.p, strategy)
-    # r = 2 keeps one descent per direction
+    # r = 2 sweeps each level's integerized balls
     for i in range(16):
         f, phi, m, ctx = make_random_sweep_instance(rng, r=2)
         strategy = "exhaustive" if i % 2 else ("sample", rng.randint(1, 20), rng.randint(0, 99))
@@ -129,6 +129,76 @@ def test_sup_at_level_matches_per_direction_reference():
     f = parse_polymap("x1^2 + x1; x1^3", 1)
     for strategy in ("exhaustive", ("sample", 12, 3)):
         assert sup_at_level(f, PHI1, 2, strategy, CTX3) == _reference_record(f, PHI1, 2, strategy, CTX3)
+
+
+def _clears_early(f, phi, u, m, p):
+    """Whether u's phase on some ball of phi clears below m + B, the level
+    at which the sweep walks that ball: its own walk would run at a smaller
+    modulus."""
+    g = EvalRequest.of(f, [Fraction(c, p**m) for c in u], PrimeContext(p), phi).phase_poly()
+    for ball in phi.terms:
+        step = Fraction(p) ** ball.k
+        parts = [substitute_affine(c, ball.center, step, f.n) for c in f.components]
+        if coefficient_floor([substitute_affine(g, ball.center, step, f.n)], p) < m + coefficient_floor(parts, p):
+            return True
+    return False
+
+
+def test_multi_component_sweep_matches_per_direction_eval():
+    """Every histogram the r >= 2 sweep yields, direction by direction, is
+    the reduced eval_recursive at y = u/p**m: exhaustive and sampled levels
+    (repeats included) of random maps with p-power denominators and
+    several-ball weights, r in {2, 3}, p in {2, 3, 5}."""
+    rng = random.Random(110)
+    seen = {"directions": 0, "repeats": 0, "cleared early": 0, "ball outside Z_p": 0}
+    covered = set()
+    for i in range(24):
+        r = 2 + i % 2
+        f, phi, m, ctx = make_random_sweep_instance(rng, r=r)
+        p = ctx.p
+        if r == 3:
+            m = 1
+        if i % 3 == 0:  # more draws than directions, so repeats are certain
+            directions = list(_sample_directions(p, m, r, 2 * p ** (m * r), rng.randint(0, 99)))
+        else:
+            directions = list(primitive_directions(p, m, r))
+        swept = list(eval_unit_directions(f, phi, m, ctx, iter(directions)))
+        assert [u for u, _ in swept] == directions
+        for u, hist in swept:
+            y = [Fraction(c, p**m) for c in u]
+            direct = eval_recursive(EvalRequest.of(f, y, ctx, phi)).histogram.reduced()
+            assert hist == direct, (f, phi, m, p, u)
+            seen["cleared early"] += _clears_early(f, phi, u, m, p)
+        covered.add((r, p))
+        seen["directions"] += len(directions)
+        seen["repeats"] += len(directions) - len(set(directions))
+        seen["ball outside Z_p"] += any(c.denominator % p == 0 for ball in phi.terms for c in ball.center)
+    assert seen["directions"] > 1000 and seen["repeats"] > 300, seen
+    assert seen["cleared early"] > 200 and seen["ball outside Z_p"] >= 5, seen
+    assert covered == {(r, p) for r in (2, 3) for p in (2, 3, 5)}
+
+    # directions with u1 + u2 = 0 mod 3 clear one level below m + B = m on
+    # the unit ball; a second ball centred outside Z_p
+    f = parse_polymap("x1^2 + x2; x1^2 + 4*x2", 2)
+    unit = SchwartzBruhat.trivial(2)
+    two = SchwartzBruhat(2, unit.terms + SchwartzBruhat.ball([Fraction(1, 3), Fraction(2)], 1, Fraction(-2, 5)).terms)
+    directions = [(1, 8), (2, 7), (1, 1), (0, 1), (1, 8)]
+    assert [_clears_early(f, unit, u, 2, 3) for u in directions] == [True, True, False, False, True]
+    for phi in (unit, two):
+        for u, hist in eval_unit_directions(f, phi, 2, CTX3, directions):
+            direct = eval_recursive(EvalRequest.of(f, [Fraction(c, 9) for c in u], CTX3, phi))
+            assert hist == direct.histogram.reduced(), (phi, u)
+
+
+def test_multi_component_sweep_rejects_bad_directions():
+    """A direction of the wrong length or with no unit coordinate is a
+    ValueError, and so is ``None``: only r = 1 has a default stream."""
+    f = parse_polymap("x1; x1^2", 1)
+    for bad in ([(1,)], [(2,), (1,)], [(3, 6)], [(1, 2, 1)]):
+        with pytest.raises(ValueError):
+            list(eval_unit_directions(f, PHI1, 2, CTX3, bad))
+    with pytest.raises(ValueError):
+        list(eval_unit_directions(f, PHI1, 2, CTX3, None))
 
 
 def test_exhaustive_unit_level_visits_one_unit_per_class(monkeypatch):

@@ -607,11 +607,3 @@ def test_descent_node_budget():
         eval_recursive(tight)
     assert exc.value.needed is None and exc.value.budget == 819
     assert "more than 819 coset nodes" in str(exc.value)
-
-
-def test_unit_sweep_rejects_multi_component_maps():
-    ctx = PrimeContext(3)
-    f = parse_polymap("x1; x1^2", 1)
-    units = list(primitive_directions(3, 1, 1))
-    with pytest.raises(ValueError):
-        list(eval_unit_directions(f, SchwartzBruhat.trivial(1), 1, ctx, units))
