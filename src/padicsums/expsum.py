@@ -22,6 +22,17 @@ takes the prune rule as an argument; the recursive fiber counter in
 exact value; equality of reduced histograms is the cross-check used
 throughout the test suite.
 
+The walk stores exponents packed: a monomial's exponent vector is one
+integer whose digits, in base D + 1 for the root's largest exponent D, are
+the exponents (``Terms``); the constant term is 0.  Rules and leaf handlers
+read degrees, exponent vectors and constant terms through the ``Terms`` the
+walk hands them, never the packing itself.  A split shifts each polynomial
+once per variable for all p digits: x_i -> d + p*t expands x_i**e from two
+tables, comb(e, j) * p**j mod p**M and d**k mod p**M, filled only for the
+exponents that occur and shared by the walks of one modulus
+(``_expansions``), and each child's coefficient is reduced mod p**M once,
+after its terms are summed.
+
 ``eval_recursive`` first splits each ball's G into its variable groups: two
 variables share a group when some monomial contains both.  When G is a sum
 of polynomials in disjoint sets of variables, the integral over the unit
@@ -47,11 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .padic import PhaseHistogram, PrimeContext, Rational, _int_valuation, clearing_exponent
+from .padic import PhaseHistogram, PrimeContext, Rational, clearing_exponent
 from .polymap import (
     IntPoly,
     Poly,
@@ -144,36 +157,128 @@ class EvalResult:
 # ------------------------------------------------------------- coset descent
 
 
-def _shift_variable(g: IntPoly, i: int, d: int, p: int, mod: int, top: int) -> IntPoly:
-    """G with x_i replaced by d + p*x_i, reduced mod ``mod``.  Powers
-    (p*x_i)**j with j > ``top`` are not expanded: each such j exceeds x_i's
-    degree in G, or p**j vanishes mod ``mod``."""
-    out: IntPoly = {}
-    for exp, c in g.items():
-        e = exp[i]
-        if e == 0:
-            nc = (out.get(exp, 0) + c) % mod
-            if nc:
-                out[exp] = nc
-            else:
-                out.pop(exp, None)
-            continue
-        # expand (d + p*t)^e; iterate j descending so d-powers build up
-        j0, powd = e, 1
-        if e > top:
-            j0, powd = top, pow(d, e - top, mod)
-        for j in range(j0, -1, -1):
-            term = c * comb(e, j) * powd % mod * pow(p, j, mod) % mod
-            powd = powd * d % mod
-            if not term:
+class _Lazy(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first read."""
+
+    def __init__(self, fill: Callable[[Any], Any]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class Terms:
+    """How coset walks store their polynomials, and how their rules and leaf
+    handlers read them.
+
+    The exponent vector of a monomial is packed into one integer, its code
+    sum_i e_i * base**i, where ``base`` is one more than the largest
+    exponent in the root's polynomials: a shift never raises an exponent,
+    so every e_i stays one digit.  The constant term is code 0.  A node's
+    polynomial is a dict from codes to coefficients.  ``degree[code]`` and
+    ``exponents[code]`` are a code's total degree and exponent vector, each
+    worked out the first time it is read.  Codes mean the same in every walk
+    with the same n and base, and those walks share one ``Terms``
+    (``_terms``, kept for the life of the process), so a sweep's many small
+    walks decode each code once; what it holds grows only with the distinct
+    (n, base) pairs and monomials the process meets.
+    """
+
+    def __init__(self, n: int, base: int):
+        self.weights = [base**i for i in range(n)]
+        self.exponents = _Lazy(lambda code: tuple(code // w % base for w in self.weights))
+        self.degree = _Lazy(lambda code: sum(self.exponents[code]))
+
+    def pack(self, g: IntPoly) -> dict[int, int]:
+        return {sum(map(mul, exp, self.weights)): c for exp, c in g.items()}
+
+    @staticmethod
+    def constant(g: dict[int, int]) -> int:
+        return g.get(0, 0)
+
+
+_terms = lru_cache(maxsize=None)(Terms)
+
+
+@lru_cache(maxsize=1)
+def _expansions(p: int, mod: int) -> _Lazy:
+    """(d + p*t)**e mod ``mod`` for all p digits d, row e filled on first use.
+
+    Row e lists (k, comb(e, j) * p**j mod ``mod``, [d**k mod ``mod`` for each
+    digit d]) with k = e - j, for each j whose coefficient is nonzero; it
+    stops at the first j with p**j = 0 mod ``mod``, so a high power costs
+    only the terms that live.  The d**k lists are shared between rows.  The
+    table depends on p and ``mod`` alone, so the walks of one evaluation or
+    sweep, which share both, share it too.
+    """
+    powers = _Lazy(lambda k: [pow(d, k, mod) for d in range(p)])
+
+    def row(e: int) -> list[tuple[int, int, list[int]]]:
+        live, pj = [], 1
+        for j in range(e + 1):
+            if not pj:
+                break
+            b = comb(e, j) * pj % mod
+            if b:
+                live.append((e - j, b, powers[e - j]))
+            pj = pj * p % mod
+        return live
+
+    return _Lazy(row)
+
+
+class _Splitter:
+    """Builds the p**n children of a node, one variable at a time: each
+    polynomial is shifted in x_i for all p digits d in one pass.
+
+    Under x_i -> d + p*t a term c * x_i**e becomes
+    c * sum_j comb(e, j) p**j d**(e-j) t**j: its codes and coefficients come
+    from the row e of ``_expansions``.  A child's coefficient is reduced
+    mod ``mod`` once, after all its terms are summed.
+    """
+
+    def __init__(self, terms: Terms, p: int, mod: int):
+        self._p, self._mod = p, mod
+        self._weights, self._exponents = terms.weights, terms.exponents
+        self._rows = _expansions(p, mod)
+
+    def children(self, polys: tuple[dict[int, int], ...]) -> list[tuple[dict[int, int], ...]]:
+        """The children in digit-lexicographic order: x1 is shifted first,
+        then x2 on each result, and so on."""
+        columns = [[g] for g in polys]  # each polynomial's children so far
+        for i, w in enumerate(self._weights):
+            columns = [
+                [child for g in column for child in self._shift(g, i, w)] for column in columns
+            ]
+        return list(zip(*columns))
+
+    def _shift(self, g: dict[int, int], i: int, w: int) -> list[dict[int, int]]:
+        """G with x_i replaced by d + p*x_i, reduced mod ``mod``, for each
+        digit d.  A polynomial free of x_i is its own child for every d."""
+        exponents, rows, mod = self._exponents, self._rows, self._mod
+        fixed = {}  # the terms every digit shares: x_i-free, and the t**e part
+        moving = []  # (code, coefficient, d**k by digit) for k >= 1
+        for code, c in g.items():
+            e = exponents[code][i]
+            if not e:
+                fixed[code] = c
                 continue
-            nexp = exp[:i] + (j,) + exp[i + 1 :]
-            nc = (out.get(nexp, 0) + term) % mod
-            if nc:
-                out[nexp] = nc
-            else:
-                out.pop(nexp, None)
-    return out
+            for k, b, power in rows[e]:
+                if k:
+                    moving.append((code - k * w, c * b, power))
+                else:
+                    fixed[code] = c * b
+        if not moving:
+            return [g] * self._p
+        out = [{code: r for code, c in fixed.items() if (r := c % mod)}]
+        for d in range(1, self._p):
+            acc = dict(fixed)
+            for code, a, power in moving:
+                acc[code] = acc.get(code, 0) + a * power[d]
+            out.append({code: r for code, c in acc.items() if (r := c % mod)})
+        return out
 
 
 def descend_cosets(
@@ -181,51 +286,51 @@ def descend_cosets(
     mod: int,
     n: int,
     p: int,
-    rule: Callable[[tuple[IntPoly, ...]], Any],
+    rule: Callable[[tuple[dict[int, int], ...], Terms], Any],
     budget: int,
-) -> Iterator[tuple[int, tuple[IntPoly, ...], Any]]:
+) -> Iterator[tuple[int, tuple[dict[int, int], ...], Any, Terms]]:
     """Walk the cosets a + p**k Z_p^n in digit-lexicographic order.
 
-    ``polys`` are integer polynomials reduced mod ``mod``, a power of p, as
-    polynomials in the coordinate t of the root coset Z_p^n.  Each node is
-    yielded as (k, its polynomials in its own coordinate, label), where the
-    label is ``rule(polys)``; a label of None splits the node into its p**n
-    sub-cosets a + p**k * delta + p**(k+1) Z_p^n, visited in order of the
-    digit vector delta.  Both the phase sums and the fiber counts are leaf
-    handlers over this walk.  A walk of more than ``budget`` nodes raises
-    BudgetExceededError, counting a split's children before building them.
+    ``polys`` are integer polynomials reduced mod ``mod``, a power of p,
+    without zero coefficients, as polynomials in the coordinate t of the
+    root coset Z_p^n.  Each node is
+    yielded as (k, its polynomials in its own coordinate, label, terms):
+    the polynomials are packed, and ``terms`` (one ``Terms`` for the whole
+    walk) reads them.  The label is ``rule(polys, terms)``; a label of None
+    splits the node into its p**n sub-cosets a + p**k * delta +
+    p**(k+1) Z_p^n, visited in order of the digit vector delta.  Both the
+    phase sums and the fiber counts are leaf handlers over this walk.  A
+    walk of more than ``budget`` nodes raises BudgetExceededError, counting
+    a split's children before building them.
     """
-    stack = [(0, tuple(polys))]
+    terms = _terms(n, 1 + max((e for g in polys for exp in g for e in exp), default=0))
+    stack = [(0, tuple(terms.pack(g) for g in polys))]
     pushed = 1
-    top = None  # the cap on the j that ``_shift_variable`` expands; set at the first split
+    splitter = None  # built at the first split
     while stack:
         k, polys = stack.pop()
-        label = rule(polys)
-        yield k, polys, label
+        label = rule(polys, terms)
+        yield k, polys, label, terms
         if label is None:
             pushed += p**n
             if pushed > budget:
                 raise BudgetExceededError(None, budget, what="coset nodes")
-            if top is None:  # shifts never raise an exponent past the root's degree
-                degree = max((max(exp) for g in polys for exp in g), default=0)
-                top = degree if p**degree < mod else _int_valuation(mod, p) - 1
-            children = [polys]  # shift x1, then x2 on each result, ...
-            for i in range(n):
-                children = [tuple(_shift_variable(g, i, d, p, mod, top) for g in c)
-                            for c in children for d in range(p)]
+            if splitter is None:
+                splitter = _Splitter(terms, p, mod)
             # pushed last child first, so they pop in digit-lexicographic order
-            stack.extend((k + 1, c) for c in reversed(children))
+            stack.extend((k + 1, c) for c in reversed(splitter.children(polys)))
 
 
-def _classify(polys: tuple[IntPoly, ...]) -> str | None:
+def _classify(polys, terms: Terms) -> str | None:
     """Prune rule of the phase descent: "p1", "p2", or None to split."""
     (g,) = polys
+    degree = terms.degree
     has_linear = False
-    for exp in g:
-        degree = sum(exp)
-        if degree >= 2:
+    for code in g:
+        d = degree[code]
+        if d >= 2:
             return None
-        if degree == 1:
+        if d == 1:
             has_linear = True
     return "p2" if has_linear else "p1"
 
@@ -239,10 +344,9 @@ def _collect_leaves(
     Classes appear in the order the digit-lexicographic walk first meets
     them.
     """
-    zero = (0,) * n
     counts: dict[int, int] = {}
     stats = PruneStats()
-    for k, (poly,), kind in descend_cosets((g,), mod, n, p, _classify, budget):
+    for k, (poly,), kind, terms in descend_cosets((g,), mod, n, p, _classify, budget):
         if kind is None:
             stats.splits += 1
             continue
@@ -251,7 +355,7 @@ def _collect_leaves(
             stats.p2 += 1
             continue
         stats.p1 += 1
-        cls = poly.get(zero, 0) % mod
+        cls = terms.constant(poly) % mod
         counts[cls] = counts.get(cls, 0) + p ** ((level - k) * n)
     return counts, stats
 
@@ -305,6 +409,9 @@ def _split_walk(
         }
         counts, st = _collect_leaves(part, level, mod, len(group), p, budget)
         stats = stats + st
+        if not counts:  # the sum cancels: no power of p is built for it
+            factors.append(PhaseHistogram.zero(p))
+            continue
         scale = Fraction(p) ** (-level * len(group))
         factors.append(PhaseHistogram(p, level, counts, scale).reduced())
     product, pairs = factors[0], 0

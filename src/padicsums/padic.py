@@ -271,6 +271,8 @@ class PhaseHistogram:
         p = self.p
         level = self.level
         scale = self.scale
+        if scale == 0 or not any(self.counts.values()):  # before p**level is built
+            return PhaseHistogram.zero(p)
         mod = p**level
         counts: dict[int, int] = {}
         for k, c in self.counts.items():

@@ -17,10 +17,11 @@ import csv
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence, TextIO
 
 from .errors import BudgetExceededError, PreconditionError
-from .expsum import EvalRequest, descend_cosets, eval_naive
+from .expsum import EvalRequest, Terms, descend_cosets, eval_naive
 from .padic import (
     PhaseHistogram,
     PrimeContext,
@@ -135,13 +136,14 @@ def _count_naive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
     return _table(f, m, ctx.p, b, columns, counts)
 
 
-def _hensel_box(polys, n: int, p: int, level: int) -> list[int] | None:
+def _hensel_box(polys, terms: Terms, n: int, p: int, level: int) -> list[int] | None:
     """Box exponents lambda_j of a coset whose image is a box, or None.
 
     ``polys`` are the components on the coset, as polynomials in the coset
-    coordinate t, reduced mod p**level.  A component is constant mod
-    p**level (lambda_j = level), or its nonlinear coefficients all lie
-    deeper than lambda_j, the least valuation of its linear ones.  When the
+    coordinate t, reduced mod p**level and read through the walk's
+    ``terms``.  A component is constant mod p**level (lambda_j = level), or
+    its nonlinear coefficients all lie deeper than lambda_j, the least
+    valuation of its linear ones.  When the
     linear rows of the nonconstant components, divided by p**lambda_j, are
     also independent mod p, (g_j - g_j(0)) / p**lambda_j is a submersion of
     Z_p^n with unit Jacobian minors (Hensel), which carries Haar measure onto
@@ -150,15 +152,16 @@ def _hensel_box(polys, n: int, p: int, level: int) -> list[int] | None:
     """
     lams = []
     rows = []
+    degree, exponents = terms.degree, terms.exponents
     for g in polys:
         linear = nonlinear = level
         row = [0] * n
-        for exp, c in g.items():
-            degree = sum(exp)
-            if degree == 1:
-                row[exp.index(1)] = c
+        for code, c in g.items():
+            d = degree[code]
+            if d == 1:
+                row[exponents[code].index(1)] = c
                 linear = min(linear, _int_valuation(c, p))
-            elif degree > 1:
+            elif d > 1:
                 nonlinear = min(nonlinear, _int_valuation(c, p))
         if nonlinear <= linear < level or linear == level > nonlinear:
             return None
@@ -194,12 +197,10 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
     n = f.n
     b, mod, comps = integer_images(f.components, p, m)
     m_eff = m + b
-    zero = (0,) * n
     counts: dict[tuple[int, ...], int] = {}
-    walk = descend_cosets(
-        comps, mod, n, p, lambda polys: _hensel_box(polys, n, p, m_eff), ctx.naive_budget
-    )
-    for k, polys, lams in walk:
+    rule = partial(_hensel_box, n=n, p=p, level=m_eff)
+    walk = descend_cosets(comps, mod, n, p, rule, ctx.naive_budget)
+    for k, polys, lams, terms in walk:
         if lams is None:
             continue
         box = sum(m_eff - lam for lam in lams)  # the box has p**box fibers
@@ -208,7 +209,7 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
             raise BudgetExceededError(None, ctx.naive_budget, what="fibers in one box")
         weight = p ** ((m_eff - k) * n - box)
         sides = [
-            range(g.get(zero, 0) % p**lam, mod, p**lam) for g, lam in zip(polys, lams)
+            range(terms.constant(g) % p**lam, mod, p**lam) for g, lam in zip(polys, lams)
         ]
         for values in itertools.product(*sides):
             counts[values] = counts.get(values, 0) + weight

@@ -414,8 +414,12 @@ def test_decay_output_bytes_are_pinned(capsys, case):
         # each r=2 direction built its own Fractions over 3^300000 before its walk
         (["decay", "--map", "x1;x2^2", "--levels", "300000..300000", "--strategy", "sample:1"],
          "coset nodes", 1.0),
+        # the x1 group's sum cancels, yet its mean built 3^-2000000 and its
+        # reduction 3^2000000 before the x2^2 group's walk ran out of budget
+        (["decay", "--map", "x1;x2^2", "--levels", "2000000..2000000", "--strategy", "sample:1"],
+         "coset nodes", 1.0),
     ],
-    ids=["density", "decay", "decay-r2-sampled"],
+    ids=["density", "decay", "decay-r2-sampled", "decay-r2-sampled-cancelling-group"],
 )
 def test_budget_checks_at_high_levels_build_no_huge_powers(capsys, argv, what, seconds):
     start = time.perf_counter()

@@ -13,6 +13,7 @@ from padicsums.expsum import EvalRequest, eval_naive
 from padicsums.padic import PhaseHistogram, PrimeContext
 from padicsums.polymap import PolyMap, coefficient_floor, parse_polymap, poly_eval
 from padicsums.singular import _hensel_box, _preimages, count_fibers
+from tests.test_expsum import TUPLE_TERMS
 
 
 def reference_counts(f: PolyMap, m: int, p: int) -> dict:
@@ -198,14 +199,14 @@ def test_hensel_box_mixed_constant_and_submersive_components():
     # mod 3**4: the first component is constant, the second has linear part
     # 3*t1 and nonlinear part 9*t2**2 deeper than it
     polys = [{(0, 0): 5}, {(0, 0): 2, (1, 0): 3, (0, 2): 9}]
-    assert _hensel_box(polys, 2, 3, 4) == [4, 1]
+    assert _hensel_box(polys, TUPLE_TERMS, 2, 3, 4) == [4, 1]
     # a nonlinear term as deep as the linear one blocks the rule
-    assert _hensel_box([{(1, 0): 3, (0, 2): 3}], 2, 3, 4) is None
+    assert _hensel_box([{(1, 0): 3, (0, 2): 3}], TUPLE_TERMS, 2, 3, 4) is None
     # a nonconstant component without a linear term blocks it too
-    assert _hensel_box([{(0, 0): 1}, {(2, 0): 9}], 2, 3, 4) is None
+    assert _hensel_box([{(0, 0): 1}, {(2, 0): 9}], TUPLE_TERMS, 2, 3, 4) is None
     # dependent linear rows mod p: (3, 6) / 3 = (1, 2) and (1, 2)
-    assert _hensel_box([{(1, 0): 3, (0, 1): 6}, {(1, 0): 1, (0, 1): 2}], 2, 3, 4) is None
-    assert _hensel_box([{(1, 0): 3, (0, 1): 6}, {(1, 0): 1, (0, 1): 1}], 2, 3, 4) == [1, 0]
+    assert _hensel_box([{(1, 0): 3, (0, 1): 6}, {(1, 0): 1, (0, 1): 2}], TUPLE_TERMS, 2, 3, 4) is None
+    assert _hensel_box([{(1, 0): 3, (0, 1): 6}, {(1, 0): 1, (0, 1): 1}], TUPLE_TERMS, 2, 3, 4) == [1, 0]
 
 
 def test_box_credit_with_partly_constant_components():
