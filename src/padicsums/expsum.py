@@ -1,11 +1,18 @@
 """Evaluators for p-adic oscillatory integrals with polynomial phase.
 
-For a phase polynomial g = sum_j y_j f_j and a coset c + p**k Z_p^n, the
-integral of psi(g(x)) reduces to a finite normalized character sum: clearing
-denominators writes g = G / p**M with G an integer polynomial determined
-mod p**M, and the phase class of a point depends only on its residue
-mod p**M.  ``eval_naive`` enumerates that residue space.  ``eval_recursive``
-descends through sub-cosets a + p**k Z_p^n; writing
+For a frequency y and a ball c + p**k Z_p^n of the weight function, the
+integral of psi(sum_j y_j f_j) over the ball reduces to a finite normalized
+character sum.  Every path builds it the same way.  ``_ball_images``
+substitutes x = c + p**k t into each component and integerizes them at the
+level m, the clearing exponent of y: G_j = p**B f_j(c + p**k t) mod
+p**(m+B) is an integer polynomial.  With the integer weights u_j = p**m y_j
+the phase on the ball is G / p**M for G = sum_j u_j G_j mod p**M
+(``_combination``) and M = m + B, so the phase class of a point depends
+only on its residue mod p**M.  Each variable's binomial expansion about a
+nonzero centre coordinate is counted against the budget before it is
+built.  ``eval_naive`` enumerates the residue space, after dividing out the
+content of G so that it enumerates mod the level the phase clears at.
+``eval_recursive`` descends through sub-cosets a + p**k Z_p^n; writing
 H(t) = G(a + p**k t) - G(a), a coset is resolved without enumeration when
 
   (P1) every nonconstant coefficient of H vanishes mod p**M: the coset
@@ -48,10 +55,9 @@ oracles.
 
 ``eval_unit_directions`` sweeps the directions u of one decay level m.
 For r = 1 it evaluates E(1 / p**m) once and relabels it by the Galois
-action.  For r >= 2 it integerizes each ball's components once per level
-(``integer_images`` at level m) and walks each direction's integer
-combination sum_j u_j G_j mod p**(m+B) with ``_split_walk``, so no
-direction builds rational polynomials of its own.
+action.  For r >= 2 it builds each ball's images once per level and walks
+each direction's ``_combination`` with ``_split_walk``, as
+``eval_recursive`` does for one frequency.
 """
 
 from __future__ import annotations
@@ -64,16 +70,15 @@ from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .padic import PhaseHistogram, PrimeContext, Rational, clearing_exponent
+from .padic import PhaseHistogram, PrimeContext, Rational, clearing_exponent, residue, valuation
 from .polymap import (
+    BallTerm,
     IntPoly,
     Poly,
     PolyMap,
     RestrictedSeries,
     SchwartzBruhat,
     integer_images,
-    poly_add,
-    poly_scale,
     series_truncate,
     substitute_affine,
 )
@@ -139,13 +144,6 @@ class EvalRequest:
             tuple(Fraction(v) for v in y),
             ctx,
         )
-
-    def phase_poly(self) -> Poly:
-        g: Poly = {}
-        for yj, comp in zip(self.y, self.f.components):
-            if yj:
-                g = poly_add(g, poly_scale(comp, yj))
-        return g
 
 
 @dataclass
@@ -423,24 +421,55 @@ def _split_walk(
     return product, stats
 
 
+def _ball_images(
+    components: Sequence[Poly], ball: BallTerm, m: int, ctx: PrimeContext
+) -> tuple[int, int, list[IntPoly], Fraction]:
+    """(m + B, p**(m+B), the images G_j, the ball's weight times its measure
+    p**(-k n)) for the ball c + p**k Z_p^n: each component is substituted,
+    f_j(c + p**k t), and ``integer_images`` at level m makes G_j the integer
+    polynomial p**B f_j(c + p**k t) mod p**(m+B).  Each variable's binomial
+    expansion is held to ctx.naive_budget terms (``substitute_affine``)."""
+    p, n = ctx.p, len(ball.center)
+    step = Fraction(p) ** ball.k
+    parts = [substitute_affine(c, ball.center, step, n, ctx.naive_budget) for c in components]
+    clear, mod, images = integer_images(parts, p, m)
+    return m + clear, mod, images, ball.weight * Fraction(p) ** (-ball.k * n)
+
+
+def _combination(weights: Sequence[int], images: Sequence[IntPoly], mod: int) -> IntPoly:
+    """sum_j u_j G_j mod ``mod`` for integer weights u_j, zero coefficients
+    dropped."""
+    g: IntPoly = {}
+    for u, image in zip(weights, images):
+        for exp, a in image.items():
+            g[exp] = (g.get(exp, 0) + u * a) % mod
+    return {exp: a for exp, a in g.items() if a}
+
+
 def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
-    """Sum over the balls c + p**k Z_p^n of phi: g(c + p**k t) is G(t) / p**M
-    mod Z_p, and the ball's weighted integral is its weight times
-    p**(-k n) times the mean of psi(G(t) / p**M) over t mod p**M."""
-    p = req.ctx.p
-    n = req.f.n
-    g = req.phase_poly()
+    """Sum over the balls of phi of each ball's weighted mean of
+    psi(G(t) / p**(m+B)), G = sum_j u_j G_j with u_j = p**m y_j over the
+    components with y_j != 0.  The walk runs at level m + B; the grid divides
+    out G's content p**c first and enumerates mod p**(m+B-c)."""
+    p, n = req.ctx.p, req.f.n
+    m = clearing_exponent(req.y, p)
+    used = [j for j, yj in enumerate(req.y) if yj]
+    components = [req.f.components[j] for j in used]
     total = PhaseHistogram.zero(p)
     stats = PruneStats()
     for ball in req.phi.terms:
-        gb = substitute_affine(g, ball.center, Fraction(p) ** ball.k, n)
-        m_eff, mod, (gint,) = integer_images([gb], p, 0)
+        level, mod, images, weight = _ball_images(components, ball, m, req.ctx)
+        g = _combination([residue(req.y[j], p, m, mod) for j in used], images, mod)
         if method == "naive":
-            counts, st = _naive_counts(gint, m_eff, mod, n, p, req.ctx.naive_budget)
-            mean = PhaseHistogram(p, m_eff, counts, Fraction(p) ** (-m_eff * n))
+            content = min((valuation(a, p) for a in g.values()), default=level)
+            level -= content
+            mod //= p**content
+            g = {exp: a // p**content for exp, a in g.items()}
+            counts, st = _naive_counts(g, level, mod, n, p, req.ctx.naive_budget)
+            mean = PhaseHistogram(p, level, counts, Fraction(p) ** (-level * n))
         else:
-            mean, st = _split_walk(gint, m_eff, mod, n, p, req.ctx.naive_budget)
-        total = total + mean.scaled(ball.weight * Fraction(p) ** (-ball.k * n))
+            mean, st = _split_walk(g, level, mod, n, p, req.ctx.naive_budget)
+        total = total + mean.scaled(weight)
         stats = stats + st
     return EvalResult(total, stats)
 
@@ -497,17 +526,13 @@ def eval_unit_directions(
     """Reduced histograms of E(u / p**m) for each of ``directions`` (r-tuples
     u with a coordinate prime to p), in the order given.
 
-    For r >= 2 each ball c + p**k Z_p^n of phi is integerized once per
-    level: ``integer_images`` turns its components f_j(c + p**k t) into
-    integer polynomials G_j = p**B f_j mod p**(m+B), so u's phase on the
-    ball is G_u / p**(m+B) with G_u = sum_j u_j G_j.  Each direction walks
-    G_u per ball (``_split_walk``) and sums the weighted means, as
-    ``eval_recursive`` does.  When u's phase clears at a smaller level L,
-    G_u = p**(m+B-L) G' for the G' its own walk would take at level L: a
-    coefficient vanishes mod p**(m+B) exactly when its part in G' vanishes
-    mod p**L, so both walks meet the same tree and give the same reduced
-    histogram.  ``None`` is not accepted: the caller streams the
-    directions.
+    For r >= 2 the images G_j of each ball of phi are built once per level
+    (``_ball_images`` at level m), and u's phase on a ball is G_u / p**(m+B)
+    with G_u = sum_j u_j G_j (``_combination``): the integer path of
+    ``eval_recursive`` at y = u / p**m, with the level's images shared by
+    every direction.  Each direction walks G_u per ball (``_split_walk``)
+    and sums the weighted means.  ``None`` is not accepted: the caller
+    streams the directions.
 
     For r = 1, ``None`` stands for the ascending units below
     min(max(p**M', p), p**m): the smallest unit below p**m of each class
@@ -527,21 +552,13 @@ def eval_unit_directions(
     if f.r > 1:
         if directions is None:
             raise ValueError("a multi-component sweep needs its directions")
-        balls = []
-        for ball in phi.terms:
-            parts = [substitute_affine(c, ball.center, Fraction(p) ** ball.k, n) for c in f.components]
-            clear, mod, images = integer_images(parts, p, m)
-            balls.append((m + clear, mod, images, ball.weight * Fraction(p) ** (-ball.k * n)))
+        balls = [_ball_images(f.components, ball, m, ctx) for ball in phi.terms]
         for u in directions:
             if len(u) != f.r or not any(c % p for c in u):
                 raise ValueError(f"direction {u} is not a primitive {f.r}-vector mod {p}")
             total = PhaseHistogram.zero(p)
             for level, mod, images, weight in balls:
-                g: IntPoly = {}
-                for c, image in zip(u, images):
-                    for exp, a in image.items():
-                        g[exp] = (g.get(exp, 0) + c * a) % mod
-                g = {exp: a for exp, a in g.items() if a}
+                g = _combination(u, images, mod)
                 mean, _ = _split_walk(g, level, mod, n, p, ctx.naive_budget)
                 total = total + mean.scaled(weight)
             yield u, total.reduced()

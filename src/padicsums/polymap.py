@@ -15,7 +15,13 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import MAX_DIGITS, ParseError, SeriesCertificationError, SeriesFloorError
+from .errors import (
+    MAX_DIGITS,
+    BudgetExceededError,
+    ParseError,
+    SeriesCertificationError,
+    SeriesFloorError,
+)
 from .padic import INFINITY, Rational, clearing_exponent, residue, valuation
 
 Exponent = tuple[int, ...]
@@ -136,11 +142,24 @@ def partial_derivative(a: Poly, i: int) -> Poly:
     return out
 
 
-def substitute_affine(a: Poly, center: Sequence[Rational], step: Fraction, n: int) -> Poly:
-    """Full expansion of a(center + step * t) as a polynomial in t."""
+def substitute_affine(
+    a: Poly, center: Sequence[Rational], step: Fraction, n: int, budget: int
+) -> Poly:
+    """Full expansion of a(center + step * t) as a polynomial in t.
+
+    Each variable with a nonzero centre coordinate first counts the binomial
+    terms its expansion will build, e + 1 for each monomial of degree e >= 1
+    in it, and raises BudgetExceededError before building any when they pass
+    ``budget``.
+    """
     out = a
     for i in range(n):
-        out = _substitute_one(out, i, Fraction(center[i]), step)
+        c = Fraction(center[i])
+        if c:
+            terms = sum(exp[i] + 1 for exp in out if exp[i])
+            if terms > budget:
+                raise BudgetExceededError(terms, budget, what="binomial terms")
+        out = _substitute_one(out, i, c, step)
     return out
 
 

@@ -192,9 +192,19 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
 
     The walk may visit at most ctx.naive_budget coset nodes, and a box may
     hold at most ctx.naive_budget fibers; BudgetExceededError otherwise.
+    The root's label is the same at every level above its coefficients'
+    valuations, so a root box past the budget is refused from the images at
+    such a level before p**(m+B) is built.
     """
     p = ctx.p
     n = f.n
+    top = max((valuation(c, p) for comp in f.components for c in comp.values()), default=0)
+    low = min(m, max(0, top + 1))
+    b, mod, comps = integer_images(f.components, p, low)
+    rule = partial(_hensel_box, n=n, p=p, level=low + b)
+    _, _, lams, _ = next(descend_cosets(comps, mod, n, p, rule, ctx.naive_budget))
+    if lams is not None:  # a component constant at the low level is constant at m
+        _check_box(p, sum(m + b - lam for lam in lams if lam < low + b), ctx.naive_budget)
     b, mod, comps = integer_images(f.components, p, m)
     m_eff = m + b
     counts: dict[tuple[int, ...], int] = {}
@@ -204,9 +214,7 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
         if lams is None:
             continue
         box = sum(m_eff - lam for lam in lams)  # the box has p**box fibers
-        if power_exceeds(p, box, ctx.naive_budget):
-            # p**box may be too long to print, so report only the bound
-            raise BudgetExceededError(None, ctx.naive_budget, what="fibers in one box")
+        _check_box(p, box, ctx.naive_budget)
         weight = p ** ((m_eff - k) * n - box)
         sides = [
             range(terms.constant(g) % p**lam, mod, p**lam) for g, lam in zip(polys, lams)
@@ -215,6 +223,13 @@ def _count_recursive(f: PolyMap, m: int, ctx: PrimeContext) -> DensityTable:
             counts[values] = counts.get(values, 0) + weight
     keys = sorted(counts)
     return _table(f, m, p, b, list(zip(*keys)), [counts[k] for k in keys])
+
+
+def _check_box(p: int, box: int, budget: int) -> None:
+    """Refuse a box of p**box fibers past the budget; p**box may be too long
+    to print, so only the bound is reported."""
+    if power_exceeds(p, box, budget):
+        raise BudgetExceededError(None, budget, what="fibers in one box")
 
 
 def count_fibers(

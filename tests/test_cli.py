@@ -344,6 +344,24 @@ def test_degrees_above_the_level_expand_only_live_powers(capsys, text):
     assert code == EXIT_OK and json.loads(out)["histogram"] == json.loads(naive)["histogram"]
 
 
+def test_off_centre_substitution_counts_its_terms_first(capsys):
+    """Each variable's binomial expansion about a nonzero centre is counted
+    against the budget before it is built: expanding x1^4096*x2^4096 about
+    (1, 1) ran past 40 s under --budget 10.  One variable's 4097 terms fit
+    the default budget; (1 + t)**4096 and (1 + t)**2 agree mod 3."""
+    phi = '[{"center": ["1", "1"], "k": 0, "weight": "1"}]'
+    argv = ["eval", "--prime", "3", "--y", "1/3", "--map", "x1^4096*x2^4096", "--phi", phi]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: budget exceeded: 4097 binomial terms needed, budget is 10\n"
+    phi = '[{"center": ["1"], "k": 0, "weight": "1"}]'
+    code, out, _ = run(capsys, "eval", "--prime", "3", "--y", "1/3", "--map", "x1^4096", "--phi", phi)
+    _, square, _ = run(capsys, "eval", "--prime", "3", "--y", "1/3", "--map", "x1^2", "--phi", phi)
+    assert code == EXIT_OK and json.loads(out)["histogram"] == json.loads(square)["histogram"]
+
+
 def _one_ball(k):
     return '[{"center": ["0"], "k": %d, "weight": "1"}]' % k
 
@@ -408,6 +426,9 @@ def test_decay_output_bytes_are_pinned(capsys, case):
     [
         # 3^3000000 was built four times, three of them only to be compared
         (["density", "--map", "x1", "--level", "3000000"], "fibers in one box", 1.0),
+        # 3^10000000 took 3 s to build, though the root's box is read off the
+        # coefficient valuations
+        (["density", "--prime", "3", "--map", "x1", "--level", "10000000"], "fibers in one box", 0.5),
         # the count 3^3000000 - 3^2999999 was built only to be compared
         (["decay", "--map", "x1^2", "--levels", "3000000..3000000"],
          "directions (use a sample strategy)", 0.1),
@@ -419,7 +440,7 @@ def test_decay_output_bytes_are_pinned(capsys, case):
         (["decay", "--map", "x1;x2^2", "--levels", "2000000..2000000", "--strategy", "sample:1"],
          "coset nodes", 1.0),
     ],
-    ids=["density", "decay", "decay-r2-sampled", "decay-r2-sampled-cancelling-group"],
+    ids=["density", "density-level-1e7", "decay", "decay-r2-sampled", "decay-r2-sampled-cancelling-group"],
 )
 def test_budget_checks_at_high_levels_build_no_huge_powers(capsys, argv, what, seconds):
     start = time.perf_counter()

@@ -18,7 +18,7 @@ from padicsums.errors import BudgetExceededError, ExactVanishingError, FitError
 from padicsums.expsum import EvalRequest, eval_recursive, eval_unit_directions
 from padicsums.padic import PrimeContext
 from padicsums.polymap import SchwartzBruhat, coefficient_floor, parse_polymap, substitute_affine
-from tests.test_expsum import make_random_sweep_instance
+from tests.test_expsum import make_random_sweep_instance, phase_poly
 
 CTX3 = PrimeContext(3)
 PHI1 = SchwartzBruhat.trivial(1)
@@ -133,13 +133,13 @@ def test_sup_at_level_matches_per_direction_reference():
 
 def _clears_early(f, phi, u, m, p):
     """Whether u's phase on some ball of phi clears below m + B, the level
-    at which the sweep walks that ball: its own walk would run at a smaller
-    modulus."""
-    g = EvalRequest.of(f, [Fraction(c, p**m) for c in u], PrimeContext(p), phi).phase_poly()
+    at which the sweep walks that ball: the rational-phase reference would
+    walk it at a smaller modulus."""
+    g = phase_poly(EvalRequest.of(f, [Fraction(c, p**m) for c in u], PrimeContext(p), phi))
     for ball in phi.terms:
         step = Fraction(p) ** ball.k
-        parts = [substitute_affine(c, ball.center, step, f.n) for c in f.components]
-        if coefficient_floor([substitute_affine(g, ball.center, step, f.n)], p) < m + coefficient_floor(parts, p):
+        parts = [substitute_affine(c, ball.center, step, f.n, 10**6) for c in f.components]
+        if coefficient_floor([substitute_affine(g, ball.center, step, f.n, 10**6)], p) < m + coefficient_floor(parts, p):
             return True
     return False
 

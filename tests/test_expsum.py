@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 import types
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -13,8 +14,11 @@ from padicsums.decay import primitive_directions
 from padicsums.errors import BudgetExceededError, PreconditionError, SeriesFloorError
 from padicsums.expsum import (
     EvalRequest,
+    EvalResult,
+    PruneStats,
     _classify,
     _collect_leaves,
+    _naive_counts,
     _split_walk,
     descend_cosets,
     eval_naive,
@@ -33,6 +37,7 @@ from padicsums.polymap import (
     poly_const,
     poly_mul,
     poly_pow,
+    poly_scale,
     poly_var,
     substitute_affine,
 )
@@ -140,10 +145,39 @@ def random_substitutions(rng, n, p):
     return translation, [linear(row) for row in matrix]
 
 
-def _integer_level(req):
-    from padicsums.polymap import integer_images
+def phase_poly(req):
+    """The rational phase polynomial sum_j y_j f_j of ``req``."""
+    g = {}
+    for yj, comp in zip(req.y, req.f.components):
+        if yj:
+            g = poly_add(g, poly_scale(comp, yj))
+    return g
 
-    clear, _, (g,) = integer_images([req.phase_poly()], req.ctx.p, 0)
+
+def rational_phase_eval(req, method):
+    """E(y) from the rational phase: ``phase_poly`` substituted into each
+    ball of phi and integerized at level 0, so each ball is enumerated
+    (``method`` "naive") or walked at the level L its phase clears at.  A
+    reference for the evaluators, which integerize each component once per
+    ball and combine the images with integer weights."""
+    p, n, budget = req.ctx.p, req.f.n, req.ctx.naive_budget
+    phase = phase_poly(req)
+    total, stats = PhaseHistogram.zero(p), PruneStats()
+    for ball in req.phi.terms:
+        gb = substitute_affine(phase, ball.center, Fraction(p) ** ball.k, n, 10**6)
+        level, mod, (g,) = integer_images([gb], p, 0)
+        if method == "naive":
+            counts, st = _naive_counts(g, level, mod, n, p, budget)
+            mean = PhaseHistogram(p, level, counts, Fraction(p) ** (-level * n))
+        else:
+            mean, st = _split_walk(g, level, mod, n, p, budget)
+        total = total + mean.scaled(ball.weight * Fraction(p) ** (-ball.k * n))
+        stats = stats + st
+    return EvalResult(total, stats)
+
+
+def _integer_level(req):
+    clear, _, (g,) = integer_images([phase_poly(req)], req.ctx.p, 0)
     return clear, g
 
 
@@ -320,7 +354,7 @@ def test_coset_walk_is_pinned_node_by_node():
     for _ in range(60):
         req = make_random_instance(rng, budget=4096)
         p, n = req.ctx.p, req.f.n
-        _, mod, (g,) = integer_images([req.phase_poly()], p, 0)
+        _, mod, (g,) = integer_images([phase_poly(req)], p, 0)
         cases.append(((g,), mod, n, p, _classify))
     for n in (1, 2, 3):
         for _ in range(15):
@@ -377,6 +411,81 @@ def test_coset_walk_is_pinned_node_by_node():
             walk = list(_unpacked_walk(polys, mod, n, p, rule))
             assert walk == list(_reference_walk(polys, mod, n, p, rule)), (polys, mod, n, p)
             assert (walk[0][2] is None) != constant, polys  # all but constants split
+
+
+def make_images_instance(rng):
+    """Random request for the integer-image path: p in {2, 3, 5}, n <= 3,
+    r <= 3, at most three monomials of total degree <= 3 per component
+    (so no variable's binomial expansion builds more than 24 terms), with
+    coefficients over powers of p and over denominators prime to p.  Each
+    y_j is 0, u / p**e, u * p**e or u / q for a unit u and q prime to p;
+    most components whose y_j is 0 carry a coefficient p**-4, and phi is one
+    to three balls with k in -2..2, some centred outside Z_p^n."""
+    p = rng.choice((2, 3, 5))
+    n, r = rng.randint(1, 3), rng.randint(1, 3)
+    q = rng.choice([d for d in (3, 7, 11) if d % p])
+    units = [u for u in range(1, 3 * p) if u % p]
+    y, comps = [], []
+    for _ in range(r):
+        kind = rng.choice(("zero", "power", "power", "positive", "prime"))
+        e = rng.randint(1, 3)
+        y.append({"zero": Fraction(0), "power": Fraction(rng.choice(units), p**e),
+                  "positive": Fraction(rng.choice(units) * p**e),
+                  "prime": Fraction(rng.choice(units), q)}[kind])
+        comp = {}
+        for _ in range(rng.randint(1, 3)):
+            exp = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                exp[rng.randrange(n)] += 1
+            den = rng.choice((1, p, p**2, q, p * q))
+            comp = poly_add(comp, {tuple(exp): Fraction(rng.choice(units), den)})
+        if kind == "zero" and rng.random() < 0.7:
+            comp = poly_add(comp, {tuple(rng.randint(0, 1) for _ in range(n)): Fraction(1, p**4)})
+        comps.append(comp or poly_const(n, 1))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        center = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, p, q))) for _ in range(n)]
+        weight = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        terms += SchwartzBruhat.ball(center, rng.randint(-2, 2), weight).terms
+    phi = SchwartzBruhat(n, tuple(terms))
+    return EvalRequest.of(PolyMap(n, tuple(comps)), y, PrimeContext(p), phi)
+
+
+def _outcome(evaluate, req):
+    try:
+        result = evaluate(req)
+    except BudgetExceededError as exc:
+        return "budget", str(exc)
+    return result.histogram.reduced(), result.stats
+
+
+def test_integer_images_match_the_rational_phase():
+    """eval_naive and eval_recursive, which combine each ball's integer
+    images with the weights p**m y_j, equal the rational-phase reference on
+    seeded instances: the same reduced histogram and pruning stats, and at a
+    tight budget the same BudgetExceededError text."""
+    rng = random.Random(116)
+    outcomes, features = Counter(), Counter()
+    for _ in range(160):
+        req = make_images_instance(rng)
+        p, comps = req.ctx.p, req.f.components
+        for budget in (5_000, 30):
+            at = replace(req, ctx=PrimeContext(p, budget))
+            for method, evaluate in (("naive", eval_naive), ("recursive", eval_recursive)):
+                got = _outcome(evaluate, at)
+                assert got == _outcome(lambda r: rational_phase_eval(r, method), at), (method, budget, req)
+                outcomes[method, budget, got[0] == "budget"] += 1
+        features["y_j = 0 on a deep component"] += any(
+            not yj and clearing_exponent(comp.values(), p) >= 4 for yj, comp in zip(req.y, comps)
+        )
+        features["positive valuation"] += any(yj.numerator % p == 0 for yj in req.y if yj)
+        features["denominator prime to p"] += any(yj.denominator % p for yj in req.y if yj.denominator > 1)
+        features["centre outside Z_p"] += any(
+            c.denominator % p == 0 for ball in req.phi.terms for c in ball.center
+        )
+        features["k < 0"] += any(ball.k < 0 for ball in req.phi.terms)
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 10, outcomes
+    assert len(features) == 5 and min(features.values()) >= 20, features
 
 
 def test_oracle_equivalence_randomized():
@@ -491,7 +600,7 @@ def _joint_walk(req, budget):
     p, n = req.ctx.p, req.f.n
     total = PhaseHistogram.zero(p)
     for ball in req.phi.terms:
-        gb = substitute_affine(req.phase_poly(), ball.center, Fraction(p) ** ball.k, n)
+        gb = substitute_affine(phase_poly(req), ball.center, Fraction(p) ** ball.k, n, 10**6)
         level, mod, (g,) = integer_images([gb], p, 0)
         counts, _ = _collect_leaves(g, level, mod, n, p, budget)
         total = total + PhaseHistogram(p, level, counts, ball.weight * Fraction(p) ** (-(ball.k + level) * n))

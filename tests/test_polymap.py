@@ -5,7 +5,13 @@ from math import comb
 
 import pytest
 
-from padicsums.errors import MAX_DIGITS, ParseError, SeriesCertificationError, SeriesFloorError
+from padicsums.errors import (
+    MAX_DIGITS,
+    BudgetExceededError,
+    ParseError,
+    SeriesCertificationError,
+    SeriesFloorError,
+)
 from padicsums.padic import INFINITY
 from padicsums.polymap import (
     MAX_TERMS,
@@ -137,17 +143,33 @@ def test_polymap_rejects_zero_coefficients():
 
 def test_substitute_affine_examples():
     g = parse_polynomial("x1^2", 1)
-    assert substitute_affine(g, (1,), Fraction(3), 1) == {
+    assert substitute_affine(g, (1,), Fraction(3), 1, 10) == {
         (0,): Fraction(1),
         (1,): Fraction(6),
         (2,): Fraction(9),
     }
 
     g = parse_polynomial("x1", 1)
-    assert substitute_affine(g, (0,), Fraction(9), 1) == {(1,): Fraction(9)}
+    assert substitute_affine(g, (0,), Fraction(9), 1, 10) == {(1,): Fraction(9)}
 
     g = parse_polynomial("x1^2", 1)
-    assert substitute_affine(g, (0,), Fraction(1), 1) == g
+    assert substitute_affine(g, (0,), Fraction(1), 1, 10) == g
+
+
+def test_substitute_affine_counts_binomial_terms_first():
+    """Expanding x1^3*x2 + x1 about (1, 1) builds 4 + 2 terms for x1, then
+    2 for each of the four x2 monomials; a zero centre coordinate expands
+    nothing and counts nothing."""
+    g = parse_polynomial("x1^3*x2 + x1", 2)
+    full = substitute_affine(g, (1, 1), Fraction(3), 2, 10**6)
+    assert substitute_affine(g, (1, 1), Fraction(3), 2, 8) == full
+    for budget, needed in ((7, 8), (5, 6)):
+        message = f"^budget exceeded: {needed} binomial terms needed, budget is {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            substitute_affine(g, (1, 1), Fraction(3), 2, budget)
+    assert substitute_affine(g, (0, 1), Fraction(3), 2, 2) == substitute_affine(g, (0, 1), Fraction(3), 2, 10**6)
+    with pytest.raises(BudgetExceededError, match="^budget exceeded: 2 binomial terms needed, budget is 1$"):
+        substitute_affine(g, (0, 1), Fraction(3), 2, 1)
 
 
 def test_shift_substitute_composition():
@@ -165,10 +187,10 @@ def test_shift_substitute_composition():
         a = tuple(rng.randint(0, p - 1) for _ in range(n))
         a2 = tuple(rng.randint(0, p - 1) for _ in range(n))
         k1, k2 = rng.randint(0, 2), rng.randint(0, 2)
-        h1 = substitute_affine(poly, a, Fraction(p) ** k1, n)
-        h2 = substitute_affine(h1, a2, Fraction(p) ** k2, n)
+        h1 = substitute_affine(poly, a, Fraction(p) ** k1, n, 100)
+        h2 = substitute_affine(h1, a2, Fraction(p) ** k2, n, 100)
         combined_center = tuple(ai + p**k1 * a2i for ai, a2i in zip(a, a2))
-        direct = substitute_affine(poly, combined_center, Fraction(p) ** (k1 + k2), n)
+        direct = substitute_affine(poly, combined_center, Fraction(p) ** (k1 + k2), n, 100)
         assert h2 == direct
 
 
