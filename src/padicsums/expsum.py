@@ -40,6 +40,17 @@ exponents that occur and shared by the walks of one modulus
 (``_expansions``), and each child's coefficient is reduced mod p**M once,
 after its terms are summed.
 
+The phase walk resolves its last digit layer at the parent.  When every
+coefficient of degree >= 2 of a node's G is divisible by p**(M-2), each
+child G(d + p*t) has no nonlinear term mod p**M: its linear coefficients
+are p * dG/dx_i(d) and its constant is G(d), so it is a P1 leaf when all of
+p * dG/dx_i(d) vanish mod p**M and a P2 leaf otherwise.  The phase rule
+labels such a node "last" (``_last_layer_rule``), and ``_collect_leaves``
+counts it as the split it stands for, in the stats and against the budget,
+but loops over its p**n digit vectors (``_last_layer``) instead of building
+the children.  The tree, the work counts and the values are those of the
+full walk.
+
 ``eval_recursive`` first splits each ball's G into its variable groups: two
 variables share a group when some monomial contains both.  When G is a sum
 of polynomials in disjoint sets of variables, the integral over the unit
@@ -333,6 +344,67 @@ def _classify(polys, terms: Terms) -> str | None:
     return "p2" if has_linear else "p1"
 
 
+def _last_layer_rule(top: int) -> Callable[[tuple[dict[int, int], ...], Terms], str | None]:
+    """The phase walk's rule: ``_classify``, but "last" for a node it would
+    split whose coefficients of degree >= 2 are all divisible by ``top`` =
+    p**(M-2) (every coefficient, for M <= 2): all of its children are
+    leaves, and ``_collect_leaves`` resolves them at the node."""
+
+    def rule(polys, terms: Terms) -> str | None:
+        kind = _classify(polys, terms)
+        if kind is None:
+            degree = terms.degree
+            if all(c % top == 0 for code, c in polys[0].items() if degree[code] >= 2):
+                return "last"
+        return kind
+
+    return rule
+
+
+def _outer(c: int, tables: Sequence[list[int]]) -> list[int]:
+    """c * prod_i tables[i][d_i] for every digit vector d, in
+    digit-lexicographic order (x1 most significant)."""
+    out = [c]
+    for table in tables:
+        out = [a * b for a in out for b in table]
+    return out
+
+
+def _last_layer(g: dict[int, int], terms: Terms, n: int, p: int, mod: int) -> list[int]:
+    """The phase classes of the P1 children of a "last" node, in
+    digit-lexicographic order; its other children are P2.
+
+    The child at digit vector d is G(d + p*t).  Its nonlinear coefficients
+    vanish mod ``mod`` = p**M (each is p**|a| >= p**2 times a sum of
+    coefficients of degree >= 2 of G), its coefficient of t_i is
+    p * dG/dx_i(d) and its constant is G(d): it is P1 exactly when every
+    p * dG/dx_i(d) vanishes mod p**M.  The slopes are found a variable at a
+    time, for all digit vectors at once, and the search stops at the first
+    variable whose slope is nonzero at every digit vector still in the
+    running.  Each term's x_i**e reads d**e and e * p * d**(e-1) from the
+    row e of ``_expansions`` (its first two entries, the latter absent when
+    e * p vanishes mod p**M).
+    """
+    rows = _expansions(p, mod)
+    monomials = [(c, terms.exponents[code]) for code, c in g.items()]
+    flat = [True] * p**n  # the children not yet known to be P2
+    for i in range(n):
+        slope = [0] * p**n  # p * dG/dx_i at each digit vector
+        for c, exps in monomials:
+            e = exps[i]
+            if e and len(rows[e]) > 1 and rows[e][1][0] == e - 1:
+                _, b, power = rows[e][1]
+                tables = [power if j == i else rows[f][0][2] for j, f in enumerate(exps)]
+                slope = [s + t for s, t in zip(slope, _outer(c * b, tables))]
+        flat = [f and not s % mod for f, s in zip(flat, slope)]
+        if not any(flat):
+            return []
+    value = [0] * p**n
+    for c, exps in monomials:
+        value = [s + t for s, t in zip(value, _outer(c, [rows[e][0][2] for e in exps]))]
+    return [v % mod for v, is_flat in zip(value, flat) if is_flat]
+
+
 def _collect_leaves(
     g: IntPoly, level: int, mod: int, n: int, p: int, budget: int
 ) -> tuple[dict[int, int], PruneStats]:
@@ -340,13 +412,29 @@ def _collect_leaves(
     G reduced mod ``mod`` = p**level.
 
     Classes appear in the order the digit-lexicographic walk first meets
-    them.
+    them.  A "last" node (``_last_layer_rule``) counts as the split it
+    stands for: its p**n children count against the budget and in the
+    stats as the walk's own would, but are resolved by ``_last_layer``
+    without being built.  The budget is checked here, at each split of
+    either kind, before the walk's own check, which sees fewer splits.
     """
     counts: dict[int, int] = {}
     stats = PruneStats()
-    for k, (poly,), kind, terms in descend_cosets((g,), mod, n, p, _classify, budget):
-        if kind is None:
+    width = p**n
+    rule = _last_layer_rule(max(mod // (p * p), 1))
+    for k, (poly,), kind, terms in descend_cosets((g,), mod, n, p, rule, budget):
+        if kind is None or kind == "last":
             stats.splits += 1
+            if 1 + stats.splits * width > budget:
+                raise BudgetExceededError(None, budget, what="coset nodes")
+            if kind == "last":
+                classes = _last_layer(poly, terms, n, p, mod)
+                weight = p ** ((level - k - 1) * n)
+                for cls in classes:
+                    counts[cls] = counts.get(cls, 0) + weight
+                stats.leaves += width
+                stats.p1 += len(classes)
+                stats.p2 += width - len(classes)
             continue
         stats.leaves += 1
         if kind == "p2":
@@ -394,10 +482,13 @@ def _split_walk(
     own variables, and a variable in no group integrates to 1.  The
     constant term rides with the first group, or alone in a walk over no
     variables when G is constant.  Each walk may visit ``budget`` nodes, and
-    the products may pair at most ``budget`` classes in all.
+    the products may pair at most ``budget`` classes in all.  Once a
+    group's sum cancels the product is zero: the later groups are still
+    walked, for the budget and the stats, but their histograms are not
+    formed, and a zero factor pairs no classes.
     """
     zero = (0,) * n
-    factors = []
+    factors = []  # up to the first zero factor
     stats = PruneStats()
     for index, group in enumerate(_variable_groups(g, n) or [[]]):
         part = {
@@ -407,6 +498,8 @@ def _split_walk(
         }
         counts, st = _collect_leaves(part, level, mod, len(group), p, budget)
         stats = stats + st
+        if factors and not factors[-1].counts:
+            continue
         if not counts:  # the sum cancels: no power of p is built for it
             factors.append(PhaseHistogram.zero(p))
             continue

@@ -18,6 +18,7 @@ from padicsums.expsum import (
     PruneStats,
     _classify,
     _collect_leaves,
+    _last_layer_rule,
     _naive_counts,
     _split_walk,
     descend_cosets,
@@ -413,6 +414,71 @@ def test_coset_walk_is_pinned_node_by_node():
             assert (walk[0][2] is None) != constant, polys  # all but constants split
 
 
+def _reference_leaves(g, level, mod, n, p):
+    """``_collect_leaves`` from ``_reference_walk`` with ``_classify``: every
+    node the rule does not prune is split and its children built."""
+    counts, stats = {}, PruneStats()
+    for k, (poly,), kind in _reference_walk((g,), mod, n, p, _classify):
+        if kind is None:
+            stats.splits += 1
+            continue
+        stats.leaves += 1
+        if kind == "p2":
+            stats.p2 += 1
+            continue
+        stats.p1 += 1
+        cls = poly.get((0,) * n, 0) % mod
+        counts[cls] = counts.get(cls, 0) + p ** ((level - k) * n)
+    return counts, stats
+
+
+def _random_leaf_instance(rng):
+    """(g, level, mod, n, p): an integer polynomial reduced mod p**level, its
+    residue grid at most 3**8 points, with exponents drawn from 0..3, p and
+    2p, so that the binomials of x**p and x**(2p) carry extra powers of p."""
+    while True:
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(1, 3)
+        level = rng.randint(1, 6)
+        if p ** (level * n) <= 3**8:
+            break
+    mod = p**level
+    g = {}
+    for _ in range(rng.randint(1, 5)):
+        exp = tuple(rng.choice((0, 0, 1, 2, 3, p, 2 * p)) for _ in range(n))
+        g[exp] = (g.get(exp, 0) + rng.randrange(1, 3 * p) * p ** rng.randint(0, 2)) % mod
+    return {exp: c for exp, c in g.items() if c}, level, mod, n, p
+
+
+def test_last_layer_matches_the_split_walk():
+    """A node whose children are all leaves is resolved without building
+    them: the counts, in the same class order, and the stats equal those
+    of the walk that splits it, and so does the budget, node for node."""
+    rng = random.Random(117)
+    seen, resolved = set(), 0
+    for _ in range(240):
+        g, level, mod, n, p = _random_leaf_instance(rng)
+        expected = _reference_leaves(g, level, mod, n, p)
+        need = 1 + expected[1].splits * p**n
+        counts, stats = _collect_leaves(g, level, mod, n, p, need)
+        assert (list(counts.items()), stats) == (list(expected[0].items()), expected[1]), (g, mod, n)
+        if expected[1].splits:
+            with pytest.raises(BudgetExceededError) as parent:
+                for _ in descend_cosets((g,), mod, n, p, _classify, need - 1):
+                    pass
+            with pytest.raises(BudgetExceededError) as exc:
+                _collect_leaves(g, level, mod, n, p, need - 1)
+            assert str(exc.value) == str(parent.value)
+        rule = _last_layer_rule(max(mod // p**2, 1))
+        labels = [kind for *_, kind, _ in descend_cosets((g,), mod, n, p, rule, need)]
+        resolved += "last" in labels
+        seen.add((p, n, level, stats.p1 > 0 and "last" in labels))
+    assert resolved >= 100
+    assert {p for p, *_ in seen} == {2, 3, 5, 7} and {n for _, n, *_ in seen} == {1, 2, 3}
+    assert {level for _, _, level, _ in seen} == set(range(1, 7))
+    assert sum(flat for *_, flat in seen) >= 10  # resolved splits with P1 children
+
+
 def make_images_instance(rng):
     """Random request for the integer-image path: p in {2, 3, 5}, n <= 3,
     r <= 3, at most three monomials of total degree <= 3 per component
@@ -618,6 +684,24 @@ def test_a_cancelling_group_builds_no_power_of_its_level():
     zero = PhaseHistogram(3, level, {5: 0}, Fraction(1, 3)).reduced()
     assert time.perf_counter() - start < 0.1
     assert hist == zero == PhaseHistogram.zero(3) and (stats.p2, stats.splits) == (2, 0)
+
+
+def test_groups_after_a_zero_factor_are_walked_but_not_formed(monkeypatch):
+    """Once a group's sum cancels, the later groups are still walked, for
+    their work counts and the node budget, but no histogram is formed or
+    multiplied for them."""
+    g = {(1, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 2}  # x1 cancels at its root
+    _, x2 = _collect_leaves({(2,): 1}, 3, 27, 1, 3, 100)
+    _, x3 = _collect_leaves({(2,): 2}, 3, 27, 1, 3, 100)
+    reductions = []
+    reduced = PhaseHistogram.reduced
+    monkeypatch.setattr(PhaseHistogram, "reduced", lambda h: reductions.append(h) or reduced(h))
+    hist, stats = _split_walk(g, 3, 27, 3, 3, 100)
+    assert hist == PhaseHistogram.zero(3) and not reductions
+    assert x2.splits and x3.splits and stats == PruneStats(p2=1, leaves=1) + x2 + x3
+    need = 1 + x3.splits * 3
+    with pytest.raises(BudgetExceededError, match=f"more than {need - 1} coset nodes"):
+        _split_walk(g, 3, 27, 3, 3, need - 1)
 
 
 def test_split_walk_matches_naive_and_joint_walk():
