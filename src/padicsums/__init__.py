@@ -7,7 +7,6 @@ from .decay import (
     FitResult,
     degree_bound_report,
     fit_alpha,
-    primitive_directions,
     sup_at_level,
 )
 from .errors import (
@@ -29,6 +28,7 @@ from .expsum import (
     eval_recursive,
     eval_series,
     eval_unit_directions,
+    primitive_directions,
 )
 from .padic import PhaseHistogram, PrimeContext, valuation
 from .polymap import (

@@ -17,16 +17,17 @@ exact vanishing is itself a result) and reported separately.
 from __future__ import annotations
 
 import csv
-import itertools
+import functools
 import math
 import random
 import statistics
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
 from .errors import MAX_DIGITS, BudgetExceededError, ExactVanishingError, FitError
-from .expsum import eval_unit_directions
+from .expsum import eval_unit_directions, primitive_directions
 from .padic import INFINITY, PhaseHistogram, PrimeContext, power_exceeds
 from .polymap import DegreeData, PolyMap, SchwartzBruhat, check_affine_independence, degree_data
 
@@ -74,16 +75,6 @@ class FitResult:
     zero_levels: list[int]
 
 
-def primitive_directions(p: int, m: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All u in [0, p**m)^r with at least one unit coordinate, lex order."""
-    mod = p**m
-    for head in itertools.product(range(mod), repeat=r - 1):
-        unit_head = any(c % p for c in head)
-        for c in range(mod):
-            if unit_head or c % p:
-                yield head + (c,)
-
-
 def primitive_direction_count(p: int, m: int, r: int) -> int:
     return p ** (m * r) - p ** ((m - 1) * r)
 
@@ -116,21 +107,14 @@ def sup_at_level(
 ) -> DecayRecord:
     """Max of |E(u/p**m)| over primitive directions at level m.
 
-    ``strategy`` is ``"exhaustive"`` or ``("sample", count, seed)``.  The
-    directions are visited in lexicographic order (exhaustive) or in the
-    order they are drawn (sampled, repeats included), and the argmax is the
-    first direction whose float magnitude is strictly larger than every
-    earlier one: ties go to the lexicographically smallest u when exhaustive
-    and to the first drawn u when sampled.  Either strategy requires its
-    direction count to fit the context budget.  Every r streams its
-    directions through one ``eval_unit_directions`` call.
-
-    For r = 1, E(u/p**m) depends only on the class of u mod p**M', the level
-    of its reduced histogram (``eval_unit_directions``), so each class is
-    measured once: a later unit of a measured class has the same float and
-    cannot be strictly larger.  An exhaustive level therefore visits only the
-    smallest unit of each class, in ascending order, while its budget still
-    counts every primitive direction.
+    ``strategy`` is ``"exhaustive"`` or ``("sample", count, seed)``: the
+    directions are ``eval_unit_directions``'s exhaustive stream (``None``)
+    or the draws in order, repeats included.  Either strategy's budget
+    counts its directions, every primitive one when exhaustive.  The argmax
+    is the first direction whose float magnitude is strictly larger than
+    every earlier one (the smallest u when exhaustive, the first drawn u
+    when sampled), so a histogram object the stream yields again, with the
+    same float, is measured once.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -148,7 +132,7 @@ def sup_at_level(
             raise BudgetExceededError(
                 total, ctx.naive_budget, what="directions (use a sample strategy)"
             )
-        directions = None if r == 1 else primitive_directions(p, m, r)
+        directions = None
     else:
         kind, count, seed = strategy
         if kind != "sample":
@@ -162,18 +146,14 @@ def sup_at_level(
     best_u: tuple[int, ...] | None = None
     best_square: Fraction | None = None
 
-    measured: set[int] = set()  # classes of u mod p**M' already measured (r = 1)
-    class_mod = 0  # p**M', read from the first nonzero histogram: every unit shares it
+    # ids of the measured histograms; each entry drops itself when its
+    # histogram is freed, so a new object that reuses the id is measured
+    measured: dict[int, weakref.ref] = {}
     for u, hist in eval_unit_directions(f, phi, m, ctx, directions):
-        if not hist.counts:
+        key = id(hist)
+        if not hist.counts or key in measured:
             continue
-        if r == 1:
-            if not class_mod:
-                class_mod = p**hist.level
-            cls = u[0] % class_mod
-            if cls in measured:
-                continue
-            measured.add(cls)
+        measured[key] = weakref.ref(hist, functools.partial(measured.pop, key))
         mag, err = hist.magnitude()
         if mag > best_mag or best_u is None:
             best_mag, best_err, best_u = mag, err, u

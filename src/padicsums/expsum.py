@@ -73,10 +73,11 @@ each direction's ``_combination`` with ``_split_walk``, as
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -609,6 +610,16 @@ def eval_series(
 # --------------------------------------------------------------- unit sweeps
 
 
+def primitive_directions(p: int, m: int, r: int) -> Iterator[tuple[int, ...]]:
+    """All u in [0, p**m)^r with at least one unit coordinate, lex order."""
+    mod = p**m
+    for head in itertools.product(range(mod), repeat=r - 1):
+        unit_head = any(c % p for c in head)
+        for c in range(mod):
+            if unit_head or c % p:
+                yield head + (c,)
+
+
 def eval_unit_directions(
     f: PolyMap,
     phi: SchwartzBruhat,
@@ -616,55 +627,61 @@ def eval_unit_directions(
     ctx: PrimeContext,
     directions: Iterable[tuple[int, ...]] | None,
 ) -> Iterator[tuple[tuple[int, ...], PhaseHistogram]]:
-    """Reduced histograms of E(u / p**m) for each of ``directions`` (r-tuples
-    u with a coordinate prime to p), in the order given.
+    """Reduced histograms of E(u / p**m) for each of ``directions``, in the
+    order given; a direction that is not an r-tuple with a coordinate prime
+    to p is a ValueError.  ``None`` is the level's exhaustive stream:
+    ``primitive_directions(p, m, r)`` for r >= 2, and for r = 1 the smallest
+    unit below p**m of each class mod p**M' (the units below
+    min(max(p**M', p), p**m), ascending).  Directions of equal value may
+    share one yielded histogram object, so a caller need measure each
+    object only once, by identity.
+
+    For r = 1, a unit u rescales every coefficient of the phase polynomial
+    by a p-adic unit, so the coset classification (vanishing of
+    coefficients mod p**M) is identical for all u, and E(u / p**m) is the
+    Galois conjugate sigma_u E(1 / p**m), where sigma_u sends zeta to
+    zeta**u.  One recursive evaluation gives R = E(1 / p**m), reduced at
+    level M'; sigma_u R depends only on u mod p**M', so each class of units
+    mod p**M' is relabelled and reduced once, and its histogram (one shared
+    object) is yielded for every unit of the class.
 
     For r >= 2 the images G_j of each ball of phi are built once per level
     (``_ball_images`` at level m), and u's phase on a ball is G_u / p**(m+B)
     with G_u = sum_j u_j G_j (``_combination``): the integer path of
     ``eval_recursive`` at y = u / p**m, with the level's images shared by
-    every direction.  Each direction walks G_u per ball (``_split_walk``)
-    and sums the weighted means.  ``None`` is not accepted: the caller
-    streams the directions.
-
-    For r = 1, ``None`` stands for the ascending units below
-    min(max(p**M', p), p**m): the smallest unit below p**m of each class
-    mod p**M', and no other unit unless M' = 0.  A unit u rescales every
-    coefficient of the phase polynomial by a p-adic unit, so the coset
-    classification (vanishing of coefficients mod p**M) is identical for
-    all u, and E(u / p**m) is the Galois conjugate sigma_u E(1 / p**m),
-    where sigma_u sends zeta to zeta**u.  One recursive evaluation gives
-    R = E(1 / p**m), reduced at level M'; sigma_u R depends only on u mod
-    p**M', so each class of units mod p**M' is relabelled and reduced once,
-    and its histogram (one shared object) is yielded for every unit of the
-    class.
+    every direction.  Each direction walks G_u per ball (``_split_walk``),
+    sums the weighted means and yields a histogram of its own.
     """
     if m < 1:
         raise ValueError("sweep level must be >= 1")
-    p, n = ctx.p, f.n
-    if f.r > 1:
-        if directions is None:
-            raise ValueError("a multi-component sweep needs its directions")
+    p, n, r = ctx.p, f.n, f.r
+    if r == 1:
+        base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
+        mod = p**base.level
+        classes: dict[int, PhaseHistogram] = {}
+
+        def histogram(u: tuple[int, ...]) -> PhaseHistogram:
+            hist = classes.get(u[0] % mod)
+            if hist is None:
+                hist = classes[u[0] % mod] = base.galois(u[0]).reduced()
+            return hist
+
+        if directions is None:  # at M' = 0 all units form one class; its smallest, 1, is below p
+            directions = ((u,) for u in range(1, min(max(mod, p), p**m)) if u % p)
+    else:
         balls = [_ball_images(f.components, ball, m, ctx) for ball in phi.terms]
-        for u in directions:
-            if len(u) != f.r or not any(c % p for c in u):
-                raise ValueError(f"direction {u} is not a primitive {f.r}-vector mod {p}")
+
+        def histogram(u: tuple[int, ...]) -> PhaseHistogram:
             total = PhaseHistogram.zero(p)
             for level, mod, images, weight in balls:
                 g = _combination(u, images, mod)
                 mean, _ = _split_walk(g, level, mod, n, p, ctx.naive_budget)
                 total = total + mean.scaled(weight)
-            yield u, total.reduced()
-        return
-    base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
-    mod = p**base.level
-    if directions is None:  # at M' = 0 all units form one class; its smallest, 1, is below p
-        directions = ((u,) for u in range(1, min(max(mod, p), p**m)) if u % p)
-    classes: dict[int, PhaseHistogram] = {}
+            return total.reduced()
+
+        if directions is None:
+            directions = primitive_directions(p, m, r)
     for u in directions:
-        if u[0] % p == 0:
-            raise ValueError(f"direction {u} is not a unit mod {p}")
-        hist = classes.get(u[0] % mod)
-        if hist is None:
-            hist = classes[u[0] % mod] = base.galois(u[0]).reduced()
-        yield u, hist
+        if len(u) != r or gcd(p, *u) != 1:  # no coordinate is prime to p
+            raise ValueError(f"direction {u} is not a primitive {r}-vector mod {p}")
+        yield u, histogram(u)

@@ -16,7 +16,7 @@ from padicsums.decay import (
 )
 from padicsums.errors import BudgetExceededError, ExactVanishingError, FitError
 from padicsums.expsum import EvalRequest, eval_recursive, eval_unit_directions
-from padicsums.padic import PrimeContext
+from padicsums.padic import PhaseHistogram, PrimeContext
 from padicsums.polymap import SchwartzBruhat, coefficient_floor, parse_polymap, substitute_affine
 from tests.test_expsum import make_random_sweep_instance, phase_poly
 
@@ -190,15 +190,62 @@ def test_multi_component_sweep_matches_per_direction_eval():
             assert hist == direct.histogram.reduced(), (phi, u)
 
 
-def test_multi_component_sweep_rejects_bad_directions():
-    """A direction of the wrong length or with no unit coordinate is a
-    ValueError, and so is ``None``: only r = 1 has a default stream."""
-    f = parse_polymap("x1; x1^2", 1)
-    for bad in ([(1,)], [(2,), (1,)], [(3, 6)], [(1, 2, 1)]):
+def test_sweep_rejects_bad_directions():
+    """At every r, a direction of the wrong length or with no unit
+    coordinate is a ValueError."""
+    square = parse_polymap("x1^2", 1)
+    pair = parse_polymap("x1; x1^2", 1)
+    for f, bad in (
+        (pair, [(1,)]), (pair, [(2,), (1,)]), (pair, [(3, 6)]), (pair, [(1, 2, 1)]),
+        (square, [(1, 5)]), (square, [(4, 0, 0)]), (square, [(2,), (1, 5)]),
+        (square, [(1, 5), (2,), (4, 0, 0)]), (square, [(3,)]), (square, [()]),
+    ):
         with pytest.raises(ValueError):
             list(eval_unit_directions(f, PHI1, 2, CTX3, bad))
-    with pytest.raises(ValueError):
-        list(eval_unit_directions(f, PHI1, 2, CTX3, None))
+
+
+def test_sweep_none_streams_every_primitive_direction():
+    """For r >= 2, ``None`` streams primitive_directions(p, m, r), in order,
+    with the histograms the explicit list gets."""
+    for f, m in ((parse_polymap("x1; x1^2", 1), 2), (parse_polymap("x1^2 + x2; x1*x2; x2^3", 2), 1)):
+        phi = SchwartzBruhat.trivial(f.n)
+        expected = list(primitive_directions(3, m, f.r))
+        swept = list(eval_unit_directions(f, phi, m, CTX3, None))
+        assert [u for u, _ in swept] == expected
+        assert swept == list(eval_unit_directions(f, phi, m, CTX3, expected))
+
+
+def test_sup_at_level_measures_each_histogram_object_once(monkeypatch):
+    """Sampled levels with repeats: r = 1 measures one magnitude per nonzero
+    class of units drawn, since a class shares one histogram object; r = 2
+    measures every nonzero draw, since each gets a fresh object and a fresh
+    object may reuse a freed one's id."""
+    calls = [0]
+    magnitude = PhaseHistogram.magnitude
+
+    def counted(self):
+        calls[0] += 1
+        return magnitude(self)
+
+    rng = random.Random(115)
+    instances = [make_random_sweep_instance(rng, r=r) for r in (1, 1, 1, 2, 2, 2)]
+    instances.append((parse_polymap("x1^3", 1), PHI1, 5, CTX3))  # 162 units in 6 classes
+    for f, phi, m, ctx in instances:
+        p, r = ctx.p, f.r
+        strategy = ("sample", 2 * p ** (m * r), rng.randint(0, 99))
+        draws = list(_sample_directions(p, m, r, *strategy[1:]))
+        if r == 1:
+            base = eval_recursive(EvalRequest.of(f, [Fraction(1, p**m)], ctx, phi)).histogram.reduced()
+            expected = len({u % p**base.level for (u,) in draws}) if base.counts else 0
+        else:
+            expected = sum(1 for _, hist in eval_unit_directions(f, phi, m, ctx, draws) if hist.counts)
+        assert len(set(draws)) < len(draws)
+        monkeypatch.setattr(PhaseHistogram, "magnitude", counted)
+        calls[0] = 0
+        got = sup_at_level(f, phi, m, strategy, ctx)
+        assert calls[0] == expected, (f, phi, m, p, strategy)
+        monkeypatch.setattr(PhaseHistogram, "magnitude", magnitude)
+        assert got == _reference_record(f, phi, m, strategy, ctx), (f, phi, m, p, strategy)
 
 
 def test_exhaustive_unit_level_visits_one_unit_per_class(monkeypatch):
