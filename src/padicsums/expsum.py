@@ -10,7 +10,8 @@ the phase on the ball is G / p**M for G = sum_j u_j G_j mod p**M
 (``_combination``) and M = m + B, so the phase class of a point depends
 only on its residue mod p**M.  Each variable's binomial expansion about a
 nonzero centre coordinate is counted against the budget before it is
-built.  ``eval_naive`` enumerates the residue space, after dividing out the
+built, and every ball of phi is integerized before any walk.
+``eval_naive`` enumerates the residue space, after dividing out the
 content of G so that it enumerates mod the level the phase clears at.
 ``eval_recursive`` descends through sub-cosets a + p**k Z_p^n; writing
 H(t) = G(a + p**k t) - G(a), a coset is resolved without enumeration when
@@ -65,10 +66,9 @@ groups.  ``eval_naive`` and the fiber counter do not split: they stay the
 oracles.
 
 ``eval_unit_directions`` sweeps the directions u of one decay level m.
-For r = 1 it evaluates E(1 / p**m) once and relabels it by the Galois
-action.  For r >= 2 it builds each ball's images once per level and walks
-each direction's ``_combination`` with ``_split_walk``, as
-``eval_recursive`` does for one frequency.
+It builds each ball's images once per level and walks each direction's
+``_combination`` with ``_split_walk``, as ``eval_recursive`` does for one
+frequency; for r = 1 it walks u = (1,) alone and applies the Galois action.
 """
 
 from __future__ import annotations
@@ -543,16 +543,17 @@ def _combination(weights: Sequence[int], images: Sequence[IntPoly], mod: int) ->
 def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
     """Sum over the balls of phi of each ball's weighted mean of
     psi(G(t) / p**(m+B)), G = sum_j u_j G_j with u_j = p**m y_j over the
-    components with y_j != 0.  The walk runs at level m + B; the grid divides
-    out G's content p**c first and enumerates mod p**(m+B-c)."""
+    components with y_j != 0.  Every ball is integerized before the first
+    walk or grid.  The walk runs at level m + B; the grid divides out G's
+    content p**c first and enumerates mod p**(m+B-c)."""
     p, n = req.ctx.p, req.f.n
     m = clearing_exponent(req.y, p)
     used = [j for j, yj in enumerate(req.y) if yj]
     components = [req.f.components[j] for j in used]
+    balls = [_ball_images(components, ball, m, req.ctx) for ball in req.phi.terms]
     total = PhaseHistogram.zero(p)
     stats = PruneStats()
-    for ball in req.phi.terms:
-        level, mod, images, weight = _ball_images(components, ball, m, req.ctx)
+    for level, mod, images, weight in balls:
         g = _combination([residue(req.y[j], p, m, mod) for j in used], images, mod)
         if method == "naive":
             content = min((valuation(a, p) for a in g.values()), default=level)
@@ -636,27 +637,36 @@ def eval_unit_directions(
     share one yielded histogram object, so a caller need measure each
     object only once, by identity.
 
+    Each ball's images G_j are built once per level (``_ball_images`` at
+    level m), for every r.  ``walk(u)`` walks u's phase G_u / p**(m+B) on
+    each ball, G_u = sum_j u_j G_j (``_combination``), with ``_split_walk``
+    and sums the weighted means: the integer path of ``eval_recursive`` at
+    y = u / p**m.  For r >= 2 each direction is walked on its own.
+
     For r = 1, a unit u rescales every coefficient of the phase polynomial
     by a p-adic unit, so the coset classification (vanishing of
     coefficients mod p**M) is identical for all u, and E(u / p**m) is the
     Galois conjugate sigma_u E(1 / p**m), where sigma_u sends zeta to
-    zeta**u.  One recursive evaluation gives R = E(1 / p**m), reduced at
+    zeta**u.  Only u = (1,) is walked, giving R = E(1 / p**m) reduced at
     level M'; sigma_u R depends only on u mod p**M', so each class of units
     mod p**M' is relabelled and reduced once, and its histogram (one shared
     object) is yielded for every unit of the class.
-
-    For r >= 2 the images G_j of each ball of phi are built once per level
-    (``_ball_images`` at level m), and u's phase on a ball is G_u / p**(m+B)
-    with G_u = sum_j u_j G_j (``_combination``): the integer path of
-    ``eval_recursive`` at y = u / p**m, with the level's images shared by
-    every direction.  Each direction walks G_u per ball (``_split_walk``),
-    sums the weighted means and yields a histogram of its own.
     """
     if m < 1:
         raise ValueError("sweep level must be >= 1")
     p, n, r = ctx.p, f.n, f.r
+    balls = [_ball_images(f.components, ball, m, ctx) for ball in phi.terms]
+
+    def walk(u: tuple[int, ...]) -> PhaseHistogram:
+        total = PhaseHistogram.zero(p)
+        for level, mod, images, weight in balls:
+            mean, _ = _split_walk(_combination(u, images, mod), level, mod, n, p, ctx.naive_budget)
+            total = total + mean.scaled(weight)
+        return total.reduced()
+
+    histogram = walk
     if r == 1:
-        base = eval_recursive(EvalRequest.of(f, (Fraction(1, p**m),), ctx, phi)).histogram.reduced()
+        base = walk((1,))
         mod = p**base.level
         classes: dict[int, PhaseHistogram] = {}
 
@@ -668,19 +678,8 @@ def eval_unit_directions(
 
         if directions is None:  # at M' = 0 all units form one class; its smallest, 1, is below p
             directions = ((u,) for u in range(1, min(max(mod, p), p**m)) if u % p)
-    else:
-        balls = [_ball_images(f.components, ball, m, ctx) for ball in phi.terms]
-
-        def histogram(u: tuple[int, ...]) -> PhaseHistogram:
-            total = PhaseHistogram.zero(p)
-            for level, mod, images, weight in balls:
-                g = _combination(u, images, mod)
-                mean, _ = _split_walk(g, level, mod, n, p, ctx.naive_budget)
-                total = total + mean.scaled(weight)
-            return total.reduced()
-
-        if directions is None:
-            directions = primitive_directions(p, m, r)
+    elif directions is None:
+        directions = primitive_directions(p, m, r)
     for u in directions:
         if len(u) != r or gcd(p, *u) != 1:  # no coordinate is prime to p
             raise ValueError(f"direction {u} is not a primitive {r}-vector mod {p}")

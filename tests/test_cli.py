@@ -439,8 +439,15 @@ def test_decay_output_bytes_are_pinned(capsys, case):
         # reduction 3^2000000 before the x2^2 group's walk ran out of budget
         (["decay", "--map", "x1;x2^2", "--levels", "2000000..2000000", "--strategy", "sample:1"],
          "coset nodes", 1.0),
+        # the r=1 base built 3^2000000 for its frequency 1/3^2000000, its
+        # clearing exponent and its residue, besides its images
+        (["decay", "--map", "x1^2", "--levels", "2000000..2000000", "--strategy", "sample:1"],
+         "coset nodes", 1.0),
     ],
-    ids=["density", "density-level-1e7", "decay", "decay-r2-sampled", "decay-r2-sampled-cancelling-group"],
+    ids=[
+        "density", "density-level-1e7", "decay", "decay-r2-sampled",
+        "decay-r2-sampled-cancelling-group", "decay-r1-sampled",
+    ],
 )
 def test_budget_checks_at_high_levels_build_no_huge_powers(capsys, argv, what, seconds):
     start = time.perf_counter()
@@ -448,6 +455,25 @@ def test_budget_checks_at_high_levels_build_no_huge_powers(capsys, argv, what, s
     assert time.perf_counter() - start < seconds
     assert code == EXIT_BUDGET and out == ""
     assert err == f"error: budget exceeded: more than 10 {what} needed, budget is 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--map", "x1^4096+x2^2", "--y", "1/3^3"],
+        ["decay", "--map", "x1^4096+x2^2", "--levels", "3..3", "--strategy", "sample:1"],
+        ["decay", "--map", "x1^4096+x2^2;x2", "--levels", "3..3", "--strategy", "sample:1"],
+    ],
+    ids=["eval", "decay-r1", "decay-r2"],
+)
+def test_every_phase_integerizes_all_balls_before_its_first_walk(capsys, argv):
+    """The first ball's walk would run out of coset nodes, but the second
+    ball's expansion of x1^4096 about x1 = 1 is refused first, on every
+    path: each ball is integerized before any walk."""
+    phi = '[{"center":["0","0"],"k":0,"weight":"1"},{"center":["1","0"],"k":0,"weight":"1"}]'
+    code, out, err = run(capsys, *argv, "--phi", phi, "--budget", "10")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: budget exceeded: 4097 binomial terms needed, budget is 10\n"
 
 
 def test_prime_past_the_primality_bound_is_a_usage_error(capsys):
