@@ -7,6 +7,11 @@ compatibility and has no effect: every command runs in one thread.  All
 randomness is seeded and the seed is echoed in the output; identical
 configuration and seed give byte-identical output.
 
+A command loads only the modules it runs: this module imports ``expsum``
+(and through it ``padic`` and ``polymap``), which is all ``eval`` needs;
+the ``decay``, ``density`` and ``fourier-check`` handlers import ``decay``
+or ``singular`` when they run.
+
 Exit codes (``_EXIT_CODES``): 0 success, 2 parse/usage error (including a
 --map-file that cannot be read, an --out path that cannot be written, a
 standard output that cannot be written, such as a closed pipe, and a result
@@ -24,19 +29,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 from typing import Sequence
 
-from .decay import (
-    DEFAULT_EPSILON,
-    Strategy,
-    degree_bound_report,
-    sup_at_level,
-    write_decay_csv,
-)
 from .errors import (
     MAX_DIGITS,
     BudgetExceededError,
@@ -45,9 +42,8 @@ from .errors import (
     PreconditionError,
 )
 from .expsum import EvalRequest, eval_naive, eval_recursive
-from .padic import DEFAULT_NAIVE_BUDGET, PrimeContext
+from .padic import DEFAULT_EPSILON, DEFAULT_NAIVE_BUDGET, PrimeContext
 from .polymap import PolyMap, SchwartzBruhat, infer_variable_count, parse_polymap
-from .singular import count_fibers, fourier_check
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -149,43 +145,54 @@ def parse_strategy(text: str, seed: int):
     raise ParseError(f"bad strategy {text!r}; expected 'exhaustive' or 'sample:N'")
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a run (worker count excluded: it never
     affects results).  A command echoes the defaults for the fields of the
     flags it does not take."""
 
-    command: str
-    prime: int
-    map_text: str
-    budget: int
-    phi: list | None = None
-    y: tuple[str, ...] | None = None
-    level: int | None = None
-    levels: tuple[int, int] | None = None
-    strategy: str = "exhaustive"
-    seed: int = 0
-    epsilon: float = DEFAULT_EPSILON
-    format: str = "json"
-    method: str = "recursive"
+    __slots__ = ("command", "prime", "map_text", "budget", "phi", "y", "level", "levels",
+                 "strategy", "seed", "epsilon", "format", "method")
+
+    def __init__(self, command: str, prime: int, map_text: str, budget: int,
+                 phi: list | None = None, y: tuple[str, ...] | None = None,
+                 level: int | None = None, levels: tuple[int, int] | None = None,
+                 strategy: str = "exhaustive", seed: int = 0,
+                 epsilon: float = DEFAULT_EPSILON, format: str = "json",
+                 method: str = "recursive"):
+        self.command = command
+        self.prime = prime
+        self.map_text = map_text
+        self.budget = budget
+        self.phi = phi
+        self.y = y
+        self.level = level
+        self.levels = levels
+        self.strategy = strategy
+        self.seed = seed
+        self.epsilon = epsilon
+        self.format = format
+        self.method = method
 
     def to_json_dict(self) -> dict:
         return {
             "map" if k == "map_text" else k: list(v) if isinstance(v, tuple) else v
-            for k, v in vars(self).items()
+            for k, v in ((k, getattr(self, k)) for k in self.__slots__)
         }
 
 
-@dataclass(frozen=True)
 class _Run:
     """A command's parsed inputs (defaults for the flags it does not take)."""
 
-    config: RunConfig
-    f: PolyMap
-    phi: SchwartzBruhat
-    ctx: PrimeContext
-    y: tuple[Fraction, ...] | None
-    strategy: Strategy | None
+    __slots__ = ("config", "f", "phi", "ctx", "y", "strategy")
+
+    def __init__(self, config: RunConfig, f: PolyMap, phi: SchwartzBruhat, ctx: PrimeContext,
+                 y: tuple[Fraction, ...] | None, strategy: str | tuple[str, int, int] | None):
+        self.config = config
+        self.f = f
+        self.phi = phi
+        self.ctx = ctx
+        self.y = y
+        self.strategy = strategy
 
 
 def _load_map_text(args) -> str:
@@ -212,6 +219,8 @@ def _setup(args) -> _Run:
     y = parse_y_vector(args.y) if "y" in given else None
     levels = parse_levels(args.levels) if "levels" in given else None
     strategy = parse_strategy(args.strategy, args.seed) if "strategy" in given else None
+    if not math.isfinite(given.get("epsilon", 0.0)):
+        raise ParseError(f"--epsilon must be a finite number, not {args.epsilon}")
     ctx = PrimeContext(args.prime, args.budget)
     as_given = ("level", "strategy", "seed", "epsilon", "format", "method")
     config = RunConfig(
@@ -283,6 +292,8 @@ def _cmd_eval(args, run: _Run) -> None:
 
 
 def _cmd_density(args, run: _Run) -> None:
+    from .singular import count_fibers
+
     table = count_fibers(run.f, args.level, run.ctx)
     with _rendering():
         if args.format == "csv":
@@ -295,6 +306,8 @@ def _cmd_density(args, run: _Run) -> None:
 
 
 def _cmd_decay(args, run: _Run) -> None:
+    from .decay import degree_bound_report, sup_at_level, write_decay_csv
+
     m0, m1 = run.config.levels
     records = [sup_at_level(run.f, run.phi, m, run.strategy, run.ctx) for m in range(m0, m1 + 1)]
     report = degree_bound_report(run.f, records, run.ctx, epsilon=args.epsilon)
@@ -317,6 +330,8 @@ def _cmd_decay(args, run: _Run) -> None:
 
 
 def _cmd_fourier_check(args, run: _Run) -> None:
+    from .singular import fourier_check
+
     reduced = fourier_check(run.f, run.y, args.level, run.ctx).reduced()
     is_zero = reduced.is_zero()
     payload = {

@@ -74,7 +74,6 @@ frequency; for r = 1 it walks u = (1,) alone and applies the Galois action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -82,7 +81,15 @@ from operator import mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .padic import PhaseHistogram, PrimeContext, Rational, clearing_exponent, residue, valuation
+from .padic import (
+    PhaseHistogram,
+    PrimeContext,
+    Rational,
+    Value,
+    clearing_exponent,
+    residue,
+    valuation,
+)
 from .polymap import (
     BallTerm,
     IntPoly,
@@ -96,17 +103,20 @@ from .polymap import (
 )
 
 
-@dataclass
-class PruneStats:
+class PruneStats(Value):
     """Work accounting: prune hits and splits for the recursive evaluator,
     summed over the walks of every variable group of every ball, and the
     enumerated point count for the naive one."""
 
-    p1: int = 0
-    p2: int = 0
-    splits: int = 0
-    leaves: int = 0
-    points: int = 0
+    __slots__ = ("p1", "p2", "splits", "leaves", "points")
+
+    def __init__(self, p1: int = 0, p2: int = 0, splits: int = 0, leaves: int = 0,
+                 points: int = 0):
+        self.p1 = p1
+        self.p2 = p2
+        self.splits = splits
+        self.leaves = leaves
+        self.points = points
 
     def __add__(self, other: "PruneStats") -> "PruneStats":
         return PruneStats(
@@ -127,20 +137,21 @@ class PruneStats:
         }
 
 
-@dataclass(frozen=True)
 class EvalRequest:
     """One integral: map, weight function, frequency vector, context."""
 
-    f: PolyMap
-    phi: SchwartzBruhat
-    y: tuple[Fraction, ...]
-    ctx: PrimeContext
+    __slots__ = ("f", "phi", "y", "ctx")
 
-    def __post_init__(self):
-        if len(self.y) != self.f.r:
+    def __init__(self, f: PolyMap, phi: SchwartzBruhat, y: tuple[Fraction, ...],
+                 ctx: PrimeContext):
+        if len(y) != f.r:
             raise ValueError("frequency vector length must equal component count")
-        if self.phi.n != self.f.n:
+        if phi.n != f.n:
             raise ValueError("phi arity must equal variable count")
+        self.f = f
+        self.phi = phi
+        self.y = y
+        self.ctx = ctx
 
     @classmethod
     def of(
@@ -158,10 +169,12 @@ class EvalRequest:
         )
 
 
-@dataclass
 class EvalResult:
-    histogram: PhaseHistogram
-    stats: PruneStats
+    __slots__ = ("histogram", "stats")
+
+    def __init__(self, histogram: PhaseHistogram, stats: PruneStats):
+        self.histogram = histogram
+        self.stats = stats
 
 
 # ------------------------------------------------------------- coset descent

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -32,6 +31,9 @@ INFINITY = math.inf
 #: Default cap on the number of residue tuples a brute-force enumeration may
 #: visit.  Overridable per context and via the CLI.
 DEFAULT_NAIVE_BUDGET = 1_000_000
+
+#: Default slack of ``decay``'s exponent consistency verdict.
+DEFAULT_EPSILON = 0.1
 
 #: Constant in the reported absolute error bound of ``magnitude``:
 #: err <= |scale| * sum|counts| * MAGNITUDE_ERROR_CONSTANT * machine epsilon.
@@ -141,18 +143,39 @@ def power_exceeds(p: int, e: int, bound: int) -> bool:
     return p**e > bound
 
 
-@dataclass(frozen=True)
+class Value:
+    """Equality and repr by the fields in ``__slots__``, for the classes
+    whose instances are compared.  Unhashable, like their mutable fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> dict:
+        return {k: getattr(self, k) for k in self.__slots__ if k != "__weakref__"}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__name__}({args})"
+
+
 class PrimeContext:
     """The prime, plus global budgets shared by all enumeration strategies."""
 
-    p: int
-    naive_budget: int = DEFAULT_NAIVE_BUDGET
+    __slots__ = ("p", "naive_budget")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.naive_budget < 1:
+    def __init__(self, p: int, naive_budget: int = DEFAULT_NAIVE_BUDGET):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if naive_budget < 1:
             raise ValueError("naive_budget must be >= 1")
+        self.p = p
+        self.naive_budget = naive_budget
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -161,19 +184,23 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, a.denominator * b.denominator)
 
 
-@dataclass
-class PhaseHistogram:
+class PhaseHistogram(Value):
     """scale * sum_k counts[k] * zeta(p**level)**k with exact integer counts.
 
     Treat instances as immutable: every operation returns a new histogram.
     Counts are stored sparsely, keyed by the class k in [0, p**level); the
     evaluators build the dict themselves and pass it to the constructor.
+    Equal values with different fields compare equal only after ``reduced``.
     """
 
-    p: int
-    level: int
-    counts: dict[int, int] = field(default_factory=dict)
-    scale: Fraction = Fraction(1)
+    __slots__ = ("p", "level", "counts", "scale", "__weakref__")
+
+    def __init__(self, p: int, level: int, counts: dict[int, int] | None = None,
+                 scale: Fraction = Fraction(1)):
+        self.p = p
+        self.level = level
+        self.counts = {} if counts is None else counts
+        self.scale = scale
 
     @classmethod
     def zero(cls, p: int) -> "PhaseHistogram":

@@ -10,7 +10,6 @@ produced on demand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -22,7 +21,7 @@ from .errors import (
     SeriesCertificationError,
     SeriesFloorError,
 )
-from .padic import INFINITY, Rational, clearing_exponent, residue, valuation
+from .padic import INFINITY, Rational, Value, clearing_exponent, residue, valuation
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Fraction]
@@ -242,38 +241,41 @@ def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
 # ----------------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(Value):
     """An r-tuple of polynomials Q^n -> Q, the map under study."""
 
-    n: int
-    components: tuple[Poly, ...]
+    __slots__ = ("n", "components")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, components: tuple[Poly, ...]):
+        if n < 1:
             raise ValueError("need at least one variable")
-        if not self.components:
+        if not components:
             raise ValueError("need at least one component")
-        for comp in self.components:
+        for comp in components:
             for exp, c in comp.items():
-                if len(exp) != self.n:
+                if len(exp) != n:
                     raise ValueError("exponent arity does not match variable count")
                 if c == 0:
                     raise ValueError("zero coefficients must not be stored")
+        self.n = n
+        self.components = components
 
     @property
     def r(self) -> int:
         return len(self.components)
 
 
-@dataclass(frozen=True)
 class DegreeData:
     """Per-variable degrees d[i][j], their max d(f), and the coefficient
     orders e(f_i) = min valuation over coefficients of f_i - f_i(0)."""
 
-    per_variable: tuple[tuple[int, ...], ...]
-    d_max: int
-    e_orders: tuple[int | float, ...]
+    __slots__ = ("per_variable", "d_max", "e_orders")
+
+    def __init__(self, per_variable: tuple[tuple[int, ...], ...], d_max: int,
+                 e_orders: tuple[int | float, ...]):
+        self.per_variable = per_variable
+        self.d_max = d_max
+        self.e_orders = e_orders
 
 
 def degree_data(f: PolyMap, p: int) -> DegreeData:
@@ -487,7 +489,6 @@ def infer_variable_count(text: str) -> int:
 # ------------------------------------------------------------- series and phi
 
 
-@dataclass(frozen=True)
 class RestrictedSeries:
     """A power series on the unit polydisc given by a coefficient oracle.
 
@@ -497,9 +498,13 @@ class RestrictedSeries:
     coefficient the oracle emits.
     """
 
-    n: int
-    coefficient: Callable[[Exponent], Rational]
-    valuation_floor: Callable[[int], int | float]
+    __slots__ = ("n", "coefficient", "valuation_floor")
+
+    def __init__(self, n: int, coefficient: Callable[[Exponent], Rational],
+                 valuation_floor: Callable[[int], int | float]):
+        self.n = n
+        self.coefficient = coefficient
+        self.valuation_floor = valuation_floor
 
     @classmethod
     def from_poly(cls, n: int, poly: Poly, p: int) -> "RestrictedSeries":
@@ -566,29 +571,31 @@ def series_truncate(s: RestrictedSeries, m: int, p: int) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class BallTerm:
+class BallTerm(Value):
     """weight times the indicator of center + p**k Z_p^n."""
 
-    center: tuple[Fraction, ...]
-    k: int
-    weight: Fraction
+    __slots__ = ("center", "k", "weight")
+
+    def __init__(self, center: tuple[Fraction, ...], k: int, weight: Fraction):
+        self.center = center
+        self.k = k
+        self.weight = weight
 
 
-@dataclass(frozen=True)
 class SchwartzBruhat:
     """A finite rational combination of ball indicators (locally constant,
     compactly supported).  Balls may overlap; semantics are additive."""
 
-    n: int
-    terms: tuple[BallTerm, ...]
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self):
-        for t in self.terms:
-            if len(t.center) != self.n:
+    def __init__(self, n: int, terms: tuple[BallTerm, ...]):
+        for t in terms:
+            if len(t.center) != n:
                 raise ValueError("ball center arity does not match variable count")
             if t.weight == 0:
                 raise ValueError("ball weights must be nonzero")
+        self.n = n
+        self.terms = terms
 
     @classmethod
     def trivial(cls, n: int) -> "SchwartzBruhat":

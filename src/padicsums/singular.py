@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Sequence, TextIO
@@ -48,7 +47,6 @@ FiberKey = tuple[Fraction, ...] | tuple[int, ...]
 PREIMAGE_SAMPLE_LIMIT = 16
 
 
-@dataclass
 class DensityTable:
     """Exact fiber counts N_m(z) for z in (Z/p**m)^r.
 
@@ -57,12 +55,16 @@ class DensityTable:
     B = 0, by Fractions with denominator p**B otherwise.
     """
 
-    p: int
-    level: int
-    n: int
-    r: int
-    clear: int
-    counts: dict[FiberKey, int]
+    __slots__ = ("p", "level", "n", "r", "clear", "counts")
+
+    def __init__(self, p: int, level: int, n: int, r: int, clear: int,
+                 counts: dict[FiberKey, int]):
+        self.p = p
+        self.level = level
+        self.n = n
+        self.r = r
+        self.clear = clear
+        self.counts = counts
 
     def count(self, z: Sequence[Rational]) -> int:
         key = self._key(z)
@@ -288,20 +290,25 @@ def fourier_check(
     return direct + synth.scaled(-1)
 
 
-@dataclass
 class StabilizationReport:
     """Density trace F_m(z) across a level window plus Jacobian-rank evidence
     gathered at sampled preimages of the top level."""
 
-    z: tuple[int, ...]
-    levels: list[int]
-    f_values: list[Fraction]
-    stable: bool
-    stable_from: int | None
-    preimage_count: int
-    sampled_preimages: list[tuple[int, ...]]
-    ranks: list[int]
-    full_rank: bool
+    __slots__ = ("z", "levels", "f_values", "stable", "stable_from", "preimage_count",
+                 "sampled_preimages", "ranks", "full_rank")
+
+    def __init__(self, z: tuple[int, ...], levels: list[int], f_values: list[Fraction],
+                 stable: bool, stable_from: int | None, preimage_count: int,
+                 sampled_preimages: list[tuple[int, ...]], ranks: list[int], full_rank: bool):
+        self.z = z
+        self.levels = levels
+        self.f_values = f_values
+        self.stable = stable
+        self.stable_from = stable_from
+        self.preimage_count = preimage_count
+        self.sampled_preimages = sampled_preimages
+        self.ranks = ranks
+        self.full_rank = full_rank
 
 
 def stabilization_probe(

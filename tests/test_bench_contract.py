@@ -8,15 +8,17 @@ names against the package.
 """
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padicsums.expsum import EvalResult, PruneStats
+from padicsums.expsum import EvalRequest, eval_recursive
+from padicsums.padic import PrimeContext
+from padicsums.polymap import parse_polymap
 from padicsums.singular import DensityTable, count_fibers
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -57,9 +59,11 @@ def test_count_fibers_binds_the_arguments_the_tracer_reads():
 
 
 def test_the_work_counts_the_tracer_reads_exist():
-    assert "stats" in {field.name for field in dataclasses.fields(EvalResult)}
-    stats = {field.name for field in dataclasses.fields(PruneStats)}
-    assert {"p1", "p2", "splits", "leaves", "points"} <= stats
+    # read by attribute off a returned result, as the tracer's counters do
+    req = EvalRequest.of(parse_polymap("x1^2", 1), (Fraction(1, 3),), PrimeContext(3))
+    stats = eval_recursive(req).stats
+    for name in ("p1", "p2", "splits", "leaves", "points"):
+        assert isinstance(getattr(stats, name), int)
     assert callable(DensityTable.total)
 
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import padicsums
 from padicsums.cli import (
     EXIT_BUDGET,
     EXIT_CONSISTENCY,
@@ -555,6 +557,20 @@ def test_config_echoes_defaults_for_flags_a_command_does_not_take(capsys, argv, 
     assert json.loads(out[out.index("{"):])["config"] == {**defaults, **echoed}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_a_non_finite_epsilon_is_a_parse_error(capsys, value):
+    # nan and inf used to print "NaN" or "Infinity", which is not JSON
+    code, out, err = run(capsys, "decay", "--map", "x1^2", "--levels", "1..2", f"--epsilon={value}")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"error: --epsilon must be a finite number, not {float(value)}\n"
+
+
+def test_a_negative_epsilon_is_allowed(capsys):
+    code, out, _ = run(capsys, "decay", "--map", "x1^2", "--levels", "1..2", "--epsilon", "-0.5")
+    assert code == EXIT_OK
+    assert json.loads(out[out.index("{"):])["report"]["epsilon"] == -0.5
+
+
 @pytest.mark.parametrize(
     "buffered, argv",
     [
@@ -597,17 +613,63 @@ def test_closed_stdout_exits_2_without_a_traceback(buffered, argv):
     ids=["eval", "decay", "density-fallback", "eval-naive"],
 )
 def test_only_the_residue_grid_imports_numpy(argv, loads_numpy):
+    code, loaded = fresh_run(argv)
+    assert (code, "numpy" in loaded) == (EXIT_OK, loads_numpy)
+
+
+def fresh_run(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter that compiles the
+    package from source, and the modules loaded from the import of the
+    program on (a site hook may load some, such as random, before it)."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from padicsums.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}"
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
+#: The job ``bench/run.py`` times from a fresh interpreter as ``setup_s``.
+TRIVIAL_JOB = ["eval", "--prime=3", "--map=x1^2", "--y=1/3", "--workers=1", "--budget=1000"]
+
+#: Modules no recursive eval needs: dataclasses (it loads inspect, ast, dis
+#: and tokenize), the other commands' modules and what only they import.
+NOT_FOR_EVAL = {"dataclasses", "padicsums.decay", "padicsums.singular", "padicsums.grid",
+                "numpy", "statistics", "random", "csv"}
+
+
+@pytest.mark.parametrize(
+    "argv, own, not_loaded",
+    [
+        (TRIVIAL_JOB, set(), NOT_FOR_EVAL),
+        (["decay", "--map", "x1^2", "--levels", "1..2"], {"padicsums.decay"},
+         {"dataclasses", "padicsums.singular"}),
+        (["density", "--map", "x1^2", "--level", "2"], {"padicsums.singular"},
+         {"dataclasses", "padicsums.decay"}),
+        (["fourier-check", "--map", "x1^2", "--y", "1/3", "--level", "1"], {"padicsums.singular"},
+         {"dataclasses", "padicsums.decay"}),
+    ],
+    ids=["eval", "decay", "density", "fourier-check"],
+)
+def test_each_command_loads_only_its_own_modules(argv, own, not_loaded):
+    code, loaded = fresh_run(argv)
+    assert code == EXIT_OK and own <= loaded and not loaded & not_loaded
+
+
+def test_the_package_names_resolve_on_first_use():
+    assert len(padicsums.__all__) == 40
+    for name in padicsums.__all__:
+        module = importlib.import_module(f"padicsums.{padicsums._EXPORTS[name]}")
+        assert getattr(padicsums, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        padicsums.write_decay_csv
 
 
 DIRECTIONS_OVER = "budget exceeded: more than 10 directions (use a sample strategy) needed, budget is 10"

@@ -4,7 +4,6 @@ import random
 import time
 import types
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -536,7 +535,7 @@ def test_integer_images_match_the_rational_phase():
         req = make_images_instance(rng)
         p, comps = req.ctx.p, req.f.components
         for budget in (5_000, 30):
-            at = replace(req, ctx=PrimeContext(p, budget))
+            at = EvalRequest(req.f, req.phi, req.y, PrimeContext(p, budget))
             for method, evaluate in (("naive", eval_naive), ("recursive", eval_recursive)):
                 got = _outcome(evaluate, at)
                 assert got == _outcome(lambda r: rational_phase_eval(r, method), at), (method, budget, req)
@@ -773,7 +772,7 @@ def test_translation_and_unimodular_substitution_invariance():
         req = make_random_instance(rng, max_level=2)
         want = eval_naive(req).histogram.reduced()
         for images in random_substitutions(rng, req.f.n, req.ctx.p):
-            moved = replace(req, f=substitute_variables(req.f, images))
+            moved = EvalRequest(substitute_variables(req.f, images), req.phi, req.y, req.ctx)
             assert eval_recursive(moved).histogram.reduced() == want, (req.f, images)
             assert eval_naive(moved).histogram.reduced() == want, (req.f, images)
 
