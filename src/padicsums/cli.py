@@ -306,10 +306,10 @@ def _cmd_density(args, run: _Run) -> None:
 
 
 def _cmd_decay(args, run: _Run) -> None:
-    from .decay import degree_bound_report, sup_at_level, write_decay_csv
+    from .decay import degree_bound_report, sweep_window, write_decay_csv
 
     m0, m1 = run.config.levels
-    records = [sup_at_level(run.f, run.phi, m, run.strategy, run.ctx) for m in range(m0, m1 + 1)]
+    records = sweep_window(run.f, run.phi, range(m0, m1 + 1), run.strategy, run.ctx)
     report = degree_bound_report(run.f, records, run.ctx, epsilon=args.epsilon)
     with _rendering():
         text = _json_dumps({

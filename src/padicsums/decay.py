@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import random
 import statistics
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
 from .errors import MAX_DIGITS, BudgetExceededError, ExactVanishingError, FitError
-from .expsum import eval_unit_directions, primitive_directions
+from .expsum import Window, eval_unit_directions, primitive_directions
 from .padic import DEFAULT_EPSILON, INFINITY, PhaseHistogram, PrimeContext, Value, power_exceeds
 from .polymap import DegreeData, PolyMap, SchwartzBruhat, check_affine_independence, degree_data
 
@@ -84,6 +85,15 @@ def primitive_direction_count(p: int, m: int, r: int) -> int:
     return p ** (m * r) - p ** ((m - 1) * r)
 
 
+def _exhaustive_count(p: int, m: int, r: int, budget: int) -> int | None:
+    """The primitive direction count at level m, or None when it is past
+    both ``budget`` and 10**MAX_DIGITS: it is at least p**((m-1)*r), so it
+    then exceeds the budget and is too long to state, and is not built."""
+    if power_exceeds(p, (m - 1) * r, max(budget, 10**MAX_DIGITS)):
+        return None
+    return primitive_direction_count(p, m, r)
+
+
 def _sample_directions(
     p: int, m: int, r: int, count: int, seed: int
 ) -> Iterator[tuple[int, ...]]:
@@ -103,12 +113,45 @@ def _exact_sup_square(hist: PhaseHistogram) -> Fraction | None:
     return hist.abs_square().exact_rational()
 
 
+def sweep_window(
+    f: PolyMap,
+    phi: SchwartzBruhat,
+    levels: Sequence[int],
+    strategy: Strategy,
+    ctx: PrimeContext,
+) -> list[DecayRecord]:
+    """``sup_at_level`` at each of ``levels`` (ascending).  The leading run
+    of levels whose exhaustive direction count fits the budget shares one
+    ``Window``: for r = 1 it costs one integerization per ball of phi and
+    one walk of its deepest level per ball and variable group, and for
+    r >= 2 one integerization per ball and one walk per direction and
+    level.
+
+    An exhaustive sweep fails at the first level past that count, with its
+    error, so the window is walked no deeper than the sweep can go.  A
+    sampled sweep shares the same window, so a wide range of levels is never
+    integerized or walked far past the budget's reach; each later level is
+    swept on its own.
+    """
+
+    def fits(m: int) -> bool:
+        total = _exhaustive_count(ctx.p, m, f.r, ctx.naive_budget)
+        return total is not None and total <= ctx.naive_budget
+
+    shared = list(itertools.takewhile(fits, levels))
+    window = Window(f, phi, shared, ctx) if shared else None
+    return [
+        sup_at_level(f, phi, m, strategy, ctx, window if m in shared else None) for m in levels
+    ]
+
+
 def sup_at_level(
     f: PolyMap,
     phi: SchwartzBruhat,
     m: int,
     strategy: Strategy,
     ctx: PrimeContext,
+    window: Window | None = None,
 ) -> DecayRecord:
     """Max of |E(u/p**m)| over primitive directions at level m.
 
@@ -119,7 +162,9 @@ def sup_at_level(
     is the first direction whose float magnitude is strictly larger than
     every earlier one (the smallest u when exhaustive, the first drawn u
     when sampled), so a histogram object the stream yields again, with the
-    same float, is measured once.
+    same float, is measured once.  ``window``, a ``Window`` whose levels
+    hold m, shares its images and, for r = 1, its one walk with the other
+    levels of a sweep (``sweep_window``); None sweeps level m alone.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -127,12 +172,7 @@ def sup_at_level(
     r = f.r
     exhaustive = strategy == "exhaustive"
     if exhaustive:
-        # total >= p**((m-1)*r): past both the budget and 10**MAX_DIGITS, it
-        # exceeds the budget and is too long to state, so it is not built
-        if power_exceeds(p, (m - 1) * r, max(ctx.naive_budget, 10**MAX_DIGITS)):
-            total = None
-        else:
-            total = primitive_direction_count(p, m, r)
+        total = _exhaustive_count(p, m, r, ctx.naive_budget)
         if total is None or total > ctx.naive_budget:
             raise BudgetExceededError(
                 total, ctx.naive_budget, what="directions (use a sample strategy)"
@@ -154,7 +194,7 @@ def sup_at_level(
     # ids of the measured histograms; each entry drops itself when its
     # histogram is freed, so a new object that reuses the id is measured
     measured: dict[int, weakref.ref] = {}
-    for u, hist in eval_unit_directions(f, phi, m, ctx, directions):
+    for u, hist in eval_unit_directions(f, phi, m, ctx, directions, window):
         key = id(hist)
         if not hist.counts or key in measured:
             continue

@@ -65,10 +65,17 @@ phase classes in all.  The work counts (``PruneStats``) sum over the
 groups.  ``eval_naive`` and the fiber counter do not split: they stay the
 oracles.
 
-``eval_unit_directions`` sweeps the directions u of one decay level m.
-It builds each ball's images once per level and walks each direction's
-``_combination`` with ``_split_walk``, as ``eval_recursive`` does for one
-frequency; for r = 1 it walks u = (1,) alone and applies the Galois action.
+``eval_unit_directions`` sweeps the directions u of one decay level m,
+with the images of a ``Window``: the levels of one sweep, whose balls are
+integerized once, at the deepest level m1.  For r >= 2 it walks each
+direction's ``_combination`` with ``_split_walk``, as ``eval_recursive``
+does for one frequency: one walk per direction and level.  For r = 1 it
+applies the Galois action to E(1 / p**m), and the window finds that for
+every level from one walk per ball and variable group, the level-m1 walk:
+a level L < M = m1 + B is read off that tree, from its leaves shallower
+than L and its nodes at depth exactly L, which partition Z_p^n and are
+each P1 or P2 at L (``_collect_leaves``).  ``eval_recursive`` walks the
+one level of its frequency through the same code.
 """
 
 from __future__ import annotations
@@ -384,55 +391,94 @@ def _outer(c: int, tables: Sequence[list[int]]) -> list[int]:
     return out
 
 
-def _last_layer(g: dict[int, int], terms: Terms, n: int, p: int, mod: int) -> list[int]:
+def _last_layer(
+    g: dict[int, int], terms: Terms, n: int, p: int, mod: int, shallower: Sequence[int] = ()
+) -> tuple[list[int], list[list[int]]]:
     """The phase classes of the P1 children of a "last" node, in
-    digit-lexicographic order; its other children are P2.
+    digit-lexicographic order, at the walk's level M (``mod`` = p**M) and
+    at each level L < M whose modulus p**L is in ``shallower`` (ascending;
+    the second list is shorter, or empty, when no child is P1 at the last
+    of them).  Its other children cancel at that level.
 
     The child at digit vector d is G(d + p*t).  Its nonlinear coefficients
-    vanish mod ``mod`` = p**M (each is p**|a| >= p**2 times a sum of
-    coefficients of degree >= 2 of G), its coefficient of t_i is
-    p * dG/dx_i(d) and its constant is G(d): it is P1 exactly when every
-    p * dG/dx_i(d) vanishes mod p**M.  The slopes are found a variable at a
-    time, for all digit vectors at once, and the search stops at the first
-    variable whose slope is nonzero at every digit vector still in the
-    running.  Each term's x_i**e reads d**e and e * p * d**(e-1) from the
-    row e of ``_expansions`` (its first two entries, the latter absent when
-    e * p vanishes mod p**M).
+    vanish mod p**M (each is p**|a| >= p**2 times a sum of coefficients of
+    degree >= 2 of G), its coefficient of t_i is p * dG/dx_i(d) and its
+    constant is G(d): at level L it is P1 with class G(d) mod p**L exactly
+    when every p * dG/dx_i(d) vanishes mod p**L.  The slopes are found a
+    variable at a time, for all digit vectors at once, and the search stops
+    at the first variable whose slope is nonzero mod the least modulus at
+    every digit vector still in the running.  Each term's x_i**e reads d**e
+    and e * p * d**(e-1) from the row e of ``_expansions`` (its first two
+    entries, the latter absent when e * p vanishes mod p**M).
     """
     rows = _expansions(p, mod)
     monomials = [(c, terms.exponents[code]) for code, c in g.items()]
-    flat = [True] * p**n  # the children not yet known to be P2
+    first = shallower[0] if shallower else mod
+    flat = [True] * p**n  # the children not yet known to be P2 at the least modulus
+    slopes = []  # p * dG/dx_i at each digit vector, for each i
     for i in range(n):
-        slope = [0] * p**n  # p * dG/dx_i at each digit vector
+        slope = [0] * p**n
         for c, exps in monomials:
             e = exps[i]
             if e and len(rows[e]) > 1 and rows[e][1][0] == e - 1:
                 _, b, power = rows[e][1]
                 tables = [power if j == i else rows[f][0][2] for j, f in enumerate(exps)]
                 slope = [s + t for s, t in zip(slope, _outer(c * b, tables))]
-        flat = [f and not s % mod for f, s in zip(flat, slope)]
+        flat = [f and not s % first for f, s in zip(flat, slope)]
         if not any(flat):
-            return []
+            return [], ()
+        slopes.append(slope)
     value = [0] * p**n
     for c, exps in monomials:
         value = [s + t for s, t in zip(value, _outer(c, [rows[e][0][2] for e in exps]))]
-    return [v % mod for v, is_flat in zip(value, flat) if is_flat]
+    if not shallower:
+        return [v % mod for v, is_flat in zip(value, flat) if is_flat], ()
+    moduli = (*shallower, mod)
+    found = [[] for _ in moduli]
+    for v, is_flat, *s in zip(value, flat, *slopes):
+        if is_flat:
+            content = gcd(*s)  # P1 at each modulus it is a multiple of
+            for classes, modulus in zip(found, moduli):
+                if content % modulus:
+                    break
+                classes.append(v % modulus)
+    return found[-1], found[:-1]
 
 
 def _collect_leaves(
-    g: IntPoly, level: int, mod: int, n: int, p: int, budget: int
-) -> tuple[dict[int, int], PruneStats]:
-    """Phase-class counts of the P1 leaves, in units of p**(-level*n), for
-    G reduced mod ``mod`` = p**level.
+    g: IntPoly, levels: Sequence[int], mod: int, n: int, p: int, budget: int
+) -> tuple[list[dict[int, int]], PruneStats]:
+    """Phase-class counts of the P1 cells at each level L of ``levels``, in
+    units of p**(-L*n), from one walk of G reduced mod ``mod`` = p**M, M
+    the last and largest of ``levels``.
 
-    Classes appear in the order the digit-lexicographic walk first meets
-    them.  A "last" node (``_last_layer_rule``) counts as the split it
-    stands for: its p**n children count against the budget and in the
-    stats as the walk's own would, but are resolved by ``_last_layer``
+    The walk is the level-M walk, and its stats and budget are those of
+    that walk alone.  A "last" node (``_last_layer_rule``) counts as the
+    split it stands for: its p**n children count against the budget and in
+    the stats as the walk's own would, but are resolved by ``_last_layer``
     without being built.  The budget is checked here, at each split of
-    either kind, before the walk's own check, which sees fewer splits.
+    either kind, before the walk's own check, which sees fewer splits.  At
+    level M classes appear in the order the digit-lexicographic walk first
+    meets them.
+
+    A level L < M is read off the same tree.  Its leaves shallower than L
+    and its nodes at depth exactly L partition Z_p^n, and each of these
+    cells is P1 or P2 at L, since G mod p**L is G reduced further:
+    - a P1 leaf at depth k <= L is P1 at L, with its constant class;
+    - a P2 leaf at depth k <= L has no nonlinear terms mod p**M, so it is
+      P1 at L exactly when all its linear coefficients vanish mod p**L,
+      and otherwise cancels (at k = L they are multiples of p**L);
+    - a node at depth exactly L is P1 at L: its coefficients of degree d
+      are multiples of p**(L*d);
+    - the children of a "last" node at depth k < L are leaves at depth
+      k + 1 <= L, resolved by ``_last_layer`` at p**L.
+    So the counts at L are those of the level-L walk, up to the order of
+    the classes and complete character sums that cancel: the reduced
+    histograms are equal.
     """
-    counts: dict[int, int] = {}
+    counts: dict[int, int] = {}  # at level M
+    shallow = [(level, p**level, {}) for level in levels[:-1]] if len(levels) > 1 else []
+    top = levels[-1]
     stats = PruneStats()
     width = p**n
     rule = _last_layer_rule(max(mod // (p * p), 1))
@@ -441,9 +487,22 @@ def _collect_leaves(
             stats.splits += 1
             if 1 + stats.splits * width > budget:
                 raise BudgetExceededError(None, budget, what="coset nodes")
+            if shallow:
+                below = [tier for tier in shallow if tier[0] >= k]
+                if below and below[0][0] == k:  # a node at depth exactly L
+                    _, modulus, tally = below.pop(0)
+                    cls = terms.constant(poly) % modulus
+                    tally[cls] = tally.get(cls, 0) + 1
             if kind == "last":
-                classes = _last_layer(poly, terms, n, p, mod)
-                weight = p ** ((level - k - 1) * n)
+                if shallow:
+                    classes, found = _last_layer(poly, terms, n, p, mod, [tier[1] for tier in below])
+                    for (level, _, tally), found_at in zip(below, found):
+                        weight = p ** ((level - k - 1) * n)
+                        for cls in found_at:
+                            tally[cls] = tally.get(cls, 0) + weight
+                else:
+                    classes, _ = _last_layer(poly, terms, n, p, mod)
+                weight = p ** ((top - k - 1) * n)
                 for cls in classes:
                     counts[cls] = counts.get(cls, 0) + weight
                 stats.leaves += width
@@ -453,11 +512,19 @@ def _collect_leaves(
         stats.leaves += 1
         if kind == "p2":
             stats.p2 += 1
-            continue
-        stats.p1 += 1
-        cls = terms.constant(poly) % mod
-        counts[cls] = counts.get(cls, 0) + p ** ((level - k) * n)
-    return counts, stats
+            if not shallow:
+                continue
+            content = gcd(*(c for code, c in poly.items() if code))  # of the linear terms
+        else:
+            stats.p1 += 1
+            content = 0
+            cls = terms.constant(poly) % mod
+            counts[cls] = counts.get(cls, 0) + p ** ((top - k) * n)
+        for level, modulus, tally in shallow:
+            if level >= k and not content % modulus:
+                cls = terms.constant(poly) % modulus
+                tally[cls] = tally.get(cls, 0) + p ** ((level - k) * n)
+    return [tier[2] for tier in shallow] + [counts] if shallow else [counts], stats
 
 
 def _naive_counts(
@@ -487,22 +554,25 @@ def _variable_groups(g: IntPoly, n: int) -> list[list[int]]:
 
 
 def _split_walk(
-    g: IntPoly, level: int, mod: int, n: int, p: int, budget: int
-) -> tuple[PhaseHistogram, PruneStats]:
-    """The sum of psi(G(t) / p**level) over the unit polydisc, normalized by
-    its measure: one coset walk per variable group of G, multiplied.
+    g: IntPoly, levels: Sequence[int], mod: int, n: int, p: int, budget: int
+) -> tuple[list[PhaseHistogram], PruneStats]:
+    """For each level L of ``levels`` (ascending, the last one that of
+    ``mod``), the sum of psi(G(t) / p**L) over the unit polydisc, normalized
+    by its measure: one coset walk per variable group of G, whose tree
+    serves every level (``_collect_leaves``), and the groups' sums
+    multiplied level by level.
 
     The sum factors over the groups (Fubini): each group's walk runs in its
     own variables, and a variable in no group integrates to 1.  The
     constant term rides with the first group, or alone in a walk over no
     variables when G is constant.  Each walk may visit ``budget`` nodes, and
-    the products may pair at most ``budget`` classes in all.  Once a
-    group's sum cancels the product is zero: the later groups are still
-    walked, for the budget and the stats, but their histograms are not
-    formed, and a zero factor pairs no classes.
+    at each level the products may pair at most ``budget`` classes in all.
+    Every group is walked before any product is formed.  Once a group's sum
+    cancels at a level, the product there is zero, and the later groups'
+    histograms are not formed at that level: a zero factor pairs no classes.
     """
     zero = (0,) * n
-    factors = []  # up to the first zero factor
+    walks = []  # (variable count, counts by level) of each group
     stats = PruneStats()
     for index, group in enumerate(_variable_groups(g, n) or [[]]):
         part = {
@@ -510,22 +580,27 @@ def _split_walk(
             for exp, c in g.items()
             if any(exp[i] for i in group) or (exp == zero and index == 0)
         }
-        counts, st = _collect_leaves(part, level, mod, len(group), p, budget)
+        counts, st = _collect_leaves(part, levels, mod, len(group), p, budget)
         stats = stats + st
-        if factors and not factors[-1].counts:
-            continue
-        if not counts:  # the sum cancels: no power of p is built for it
-            factors.append(PhaseHistogram.zero(p))
-            continue
-        scale = Fraction(p) ** (-level * len(group))
-        factors.append(PhaseHistogram(p, level, counts, scale).reduced())
-    product, pairs = factors[0], 0
-    for factor in factors[1:]:
-        pairs += len(product.counts) * len(factor.counts)
-        if pairs > budget:
-            raise BudgetExceededError(pairs, budget, what="phase class pairs")
-        product = (product * factor).reduced()
-    return product, stats
+        walks.append((len(group), counts))
+    means = []
+    for i, level in enumerate(levels):
+        product, pairs = None, 0
+        for size, counts in walks:
+            if not counts[i]:  # the sum cancels: no power of p is built for it
+                product = PhaseHistogram.zero(p)
+                break
+            factor = PhaseHistogram(p, level, counts[i], Fraction(p) ** (-level * size)).reduced()
+            if product is not None:
+                pairs += len(product.counts) * len(factor.counts)
+                if pairs > budget:
+                    raise BudgetExceededError(pairs, budget, what="phase class pairs")
+                factor = (product * factor).reduced()
+            product = factor
+            if not product.counts:
+                break
+        means.append(product)
+    return means, stats
 
 
 def _ball_images(
@@ -576,7 +651,7 @@ def _eval_terms(req: EvalRequest, method: str) -> EvalResult:
             counts, st = _naive_counts(g, level, mod, n, p, req.ctx.naive_budget)
             mean = PhaseHistogram(p, level, counts, Fraction(p) ** (-level * n))
         else:
-            mean, st = _split_walk(g, level, mod, n, p, req.ctx.naive_budget)
+            (mean,), st = _split_walk(g, (level,), mod, n, p, req.ctx.naive_budget)
         total = total + mean.scaled(weight)
         stats = stats + st
     return EvalResult(total, stats)
@@ -634,12 +709,96 @@ def primitive_directions(p: int, m: int, r: int) -> Iterator[tuple[int, ...]]:
                 yield head + (c,)
 
 
+class Window:
+    """The levels of one decay sweep of f under phi, ascending, sharing each
+    ball's images and, for r = 1, one walk.
+
+    The clearing exponent B and the weight of a ball do not depend on the
+    level, and the images at level m are those at the deepest level m1
+    reduced mod p**(m+B), which ``_combination`` does.  So each ball of phi
+    is integerized once, at m1, when a level's sweep first needs it.
+    ``walker(m)`` walks a direction's phase at level m + B on each ball, one
+    walk per (direction, level).  For r = 1, the first ``unit_base`` walks
+    the phase of u = (1,) once per ball and variable group, at m1 + B, and
+    reads every level's E(1 / p**m) off that tree (``_collect_leaves``).
+
+    That walk is the level-m1 walk, and every shallower level's tree is a
+    subtree of it, so it passes the node budget whenever one of theirs
+    does; but a sweep of the levels one at a time may first meet another
+    error, at a shallower level.  So when the walk or a level's product
+    passes the budget, the levels before m1 are walked one at a time and
+    the first error they meet is raised; if none does, m1 alone meets the
+    one the window met.  Nothing is kept beyond the window's own life.
+    """
+
+    __slots__ = ("f", "phi", "levels", "ctx", "_balls", "_bases")
+
+    def __init__(self, f: PolyMap, phi: SchwartzBruhat, levels: Sequence[int], ctx: PrimeContext):
+        self.f = f
+        self.phi = phi
+        self.levels = tuple(levels)
+        self.ctx = ctx
+        self._balls: list[tuple[int, int, list[IntPoly], Fraction]] | None = None
+        self._bases: dict[int, PhaseHistogram] | None = None
+
+    def balls(self) -> list[tuple[int, int, list[IntPoly], Fraction]]:
+        """``_ball_images`` of each ball at the deepest level, built on the
+        first call."""
+        if self._balls is None:
+            top = self.levels[-1]
+            self._balls = [
+                _ball_images(self.f.components, ball, top, self.ctx) for ball in self.phi.terms
+            ]
+        return self._balls
+
+    def walker(self, m: int) -> Callable[[tuple[int, ...]], PhaseHistogram]:
+        """u -> E(u / p**m), reduced: the integer path of ``eval_recursive``
+        at y = u / p**m, with the window's images."""
+        p, n, budget = self.ctx.p, self.f.n, self.ctx.naive_budget
+        shift = self.levels[-1] - m
+        balls = [
+            (level - shift, p ** (level - shift) if shift else mod, images, weight)
+            for level, mod, images, weight in self.balls()
+        ]
+
+        def walk(u: tuple[int, ...]) -> PhaseHistogram:
+            total = PhaseHistogram.zero(p)
+            for level, mod, images, weight in balls:
+                (mean,), _ = _split_walk(_combination(u, images, mod), (level,), mod, n, p, budget)
+                total = total + mean.scaled(weight)
+            return total.reduced()
+
+        return walk
+
+    def unit_base(self, m: int) -> PhaseHistogram:
+        """E(1 / p**m), reduced, for a one-component map; every level's is
+        found at the first call, from one walk per ball and group."""
+        if self._bases is None:
+            p, n, budget = self.ctx.p, self.f.n, self.ctx.naive_budget
+            top = self.levels[-1]
+            totals = [PhaseHistogram.zero(p)] * len(self.levels)
+            balls = self.balls()
+            try:
+                for level, mod, images, weight in balls:
+                    levels = tuple(m0 + level - top for m0 in self.levels)
+                    g = _combination((1,), images, mod)
+                    means, _ = _split_walk(g, levels, mod, n, p, budget)
+                    totals = [total + mean.scaled(weight) for total, mean in zip(totals, means)]
+            except BudgetExceededError:
+                for m0 in self.levels[:-1]:  # raises what the levels meet first
+                    self.walker(m0)((1,))
+                raise
+            self._bases = {m0: total.reduced() for m0, total in zip(self.levels, totals)}
+        return self._bases[m]
+
+
 def eval_unit_directions(
     f: PolyMap,
     phi: SchwartzBruhat,
     m: int,
     ctx: PrimeContext,
     directions: Iterable[tuple[int, ...]] | None,
+    window: Window | None = None,
 ) -> Iterator[tuple[tuple[int, ...], PhaseHistogram]]:
     """Reduced histograms of E(u / p**m) for each of ``directions``, in the
     order given; a direction that is not an r-tuple with a coordinate prime
@@ -650,11 +809,14 @@ def eval_unit_directions(
     share one yielded histogram object, so a caller need measure each
     object only once, by identity.
 
-    Each ball's images G_j are built once per level (``_ball_images`` at
-    level m), for every r.  ``walk(u)`` walks u's phase G_u / p**(m+B) on
-    each ball, G_u = sum_j u_j G_j (``_combination``), with ``_split_walk``
-    and sums the weighted means: the integer path of ``eval_recursive`` at
-    y = u / p**m.  For r >= 2 each direction is walked on its own.
+    ``window`` is a ``Window`` of f, phi and ctx whose levels hold m, or
+    None for a window of m alone.  Each ball's images G_j are built once
+    per window, at its deepest level m1 (``_ball_images``), for every r.
+    For r >= 2, ``window.walker(m)`` walks u's phase G_u / p**(m+B) on each
+    ball, G_u = sum_j u_j G_j (``_combination``) mod p**(m+B), with
+    ``_split_walk`` and sums the weighted means: the integer path of
+    ``eval_recursive`` at y = u / p**m.  Each direction is walked on its
+    own, at each level: one walk per (direction, level).
 
     For r = 1, a unit u rescales every coefficient of the phase polynomial
     by a p-adic unit, so the coset classification (vanishing of
@@ -663,23 +825,20 @@ def eval_unit_directions(
     zeta**u.  Only u = (1,) is walked, giving R = E(1 / p**m) reduced at
     level M'; sigma_u R depends only on u mod p**M', so each class of units
     mod p**M' is relabelled and reduced once, and its histogram (one shared
-    object) is yielded for every unit of the class.
+    object) is yielded for every unit of the class.  The window walks
+    u = (1,) once for all its levels, at m1 (``Window.unit_base``): a
+    window of L levels costs one integerization per ball and one walk of
+    the deepest level per ball and variable group, not L of each.
     """
     if m < 1:
         raise ValueError("sweep level must be >= 1")
-    p, n, r = ctx.p, f.n, f.r
-    balls = [_ball_images(f.components, ball, m, ctx) for ball in phi.terms]
-
-    def walk(u: tuple[int, ...]) -> PhaseHistogram:
-        total = PhaseHistogram.zero(p)
-        for level, mod, images, weight in balls:
-            mean, _ = _split_walk(_combination(u, images, mod), level, mod, n, p, ctx.naive_budget)
-            total = total + mean.scaled(weight)
-        return total.reduced()
-
-    histogram = walk
+    if window is None:
+        window = Window(f, phi, (m,), ctx)
+    elif m not in window.levels:
+        raise ValueError(f"level {m} is not in the window {window.levels}")
+    p, r = ctx.p, f.r
     if r == 1:
-        base = walk((1,))
+        base = window.unit_base(m)
         mod = p**base.level
         classes: dict[int, PhaseHistogram] = {}
 
@@ -691,8 +850,10 @@ def eval_unit_directions(
 
         if directions is None:  # at M' = 0 all units form one class; its smallest, 1, is below p
             directions = ((u,) for u in range(1, min(max(mod, p), p**m)) if u % p)
-    elif directions is None:
-        directions = primitive_directions(p, m, r)
+    else:
+        histogram = window.walker(m)
+        if directions is None:
+            directions = primitive_directions(p, m, r)
     for u in directions:
         if len(u) != r or gcd(p, *u) != 1:  # no coordinate is prime to p
             raise ValueError(f"direction {u} is not a primitive {r}-vector mod {p}")

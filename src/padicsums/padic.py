@@ -129,7 +129,7 @@ def residue(x: Rational, p: int, clear: int, mod: int) -> int:
     den = x.denominator
     e = _int_valuation(den, p)
     if e > clear:
-        raise ValueError(f"{x} has valuation below -{clear}")
+        raise ValueError(f"{x} has valuation below {-clear}")
     return x.numerator * p ** (clear - e) * pow(den // p**e, -1, mod) % mod
 
 
@@ -204,7 +204,7 @@ class PhaseHistogram(Value):
 
     @classmethod
     def zero(cls, p: int) -> "PhaseHistogram":
-        return cls(p, 0, {}, Fraction(1))
+        return cls(p, 0, {})  # the default scale: Fractions are immutable, so it is shared
 
     # ------------------------------------------------------------------ algebra
 

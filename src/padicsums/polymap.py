@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -173,9 +172,12 @@ def _substitute_one(a: Poly, i: int, c: Fraction, q: Fraction) -> Poly:
             else:
                 out.pop(exp, None)
             continue
-        # (c + q*t)^e expanded by the binomial theorem; only q**e * t**e when c = 0
+        # (c + q*t)^e expanded by the binomial theorem; only q**e * t**e when c = 0.
+        # comb(e, j) is built along the row, one product and quotient a term.
+        binomial = 1
         for j in range(e if c == 0 else 0, e + 1):
-            term = coeff * comb(e, j) * c ** (e - j) * q**j
+            term = coeff * binomial * c ** (e - j) * q**j
+            binomial = binomial * (e - j) // (j + 1)
             if not term:
                 continue
             nexp = exp[:i] + (j,) + exp[i + 1 :]

@@ -271,7 +271,7 @@ def fourier_check(
     for v in ys:
         if v != 0 and valuation(v, p) < -m:
             raise PreconditionError(
-                f"component {v} has valuation below -{m}; raise the level"
+                f"component {v} has valuation below {-m}; raise the level"
             )
     direct = eval_naive(EvalRequest.of(f, ys, ctx)).histogram
     table = count_fibers(f, m, ctx)

@@ -222,6 +222,14 @@ def test_fourier_check_level_too_low(capsys):
     assert "valuation" in err
 
 
+def test_fourier_check_at_level_zero_states_a_signed_bound(capsys):
+    """The bound is printed as the number -m, so level 0 reads "below 0",
+    not "below -0"."""
+    code, out, err = run(capsys, "fourier-check", "--map", "x1^2", "--y", "1/3", "--level", "0")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == "error: component 1/3 has valuation below 0; raise the level\n"
+
+
 def test_byte_identical_across_workers(capsys):
     _, out1, _ = run(
         capsys, "eval", "--prime", "3", "--map", "x1^3 + x1^2", "--y", "1/27",
@@ -457,6 +465,55 @@ def test_budget_checks_at_high_levels_build_no_huge_powers(capsys, argv, what, s
     assert time.perf_counter() - start < seconds
     assert code == EXIT_BUDGET and out == ""
     assert err == f"error: budget exceeded: more than 10 {what} needed, budget is 10\n"
+
+
+UNIT_BALL_ABOUT_ONE = '[{"center":["1"],"k":0,"weight":"1"}]'
+
+
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        (["eval", "--y", "1/3"], 0.5),
+        (["decay", "--levels", "1..4"], 1.0),
+    ],
+    ids=["eval", "decay"],
+)
+def test_expanding_a_high_power_about_a_unit_builds_no_binomials_term_by_term(capsys, argv, seconds):
+    """x1^4096 about x1 = 1 expands into 4097 binomial terms: the
+    coefficients comb(4096, j) are built along the row, not each on its
+    own (1.2 s and 4.7 s before), and the ball Z_3 = 1 + Z_3 gives the
+    value of the unit polydisc."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--map", "x1^4096", "--phi", UNIT_BALL_ABOUT_ONE)
+    assert time.perf_counter() - start < seconds
+    assert (code, err) == (EXIT_OK, "")
+    code, centred, _ = run(capsys, *argv, "--map", "x1^4096")
+    strip = lambda text: text[: text.index('"phi"')] + text[text.index('"prime"'):]
+    assert strip(out) == strip(centred)
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        # levels 1..4 fit 500 coset nodes; the window's deepest level does not
+        (["--map", "x1^3+x2^3+x1*x2", "--levels", "1..5", "--budget", "500"],
+         "more than 500 coset nodes needed, budget is 500"),
+        # levels 1..6 are swept, level 7's 1458 directions pass the budget;
+        # the trees of levels 7..9 would pass 1000 coset nodes
+        (["--map", "x1^3+x2^3+x1*x2", "--levels", "1..9", "--budget", "1000"],
+         "1458 directions (use a sample strategy) needed, budget is 1000"),
+        # the window's walk of x1^2 at level 4 passes 5 coset nodes, but
+        # level 1, swept alone, already pairs 6 phase classes
+        (["--prime", "2", "--map", "x1^2+x2^2+x3^2", "--levels", "1..4", "--budget", "5"],
+         "6 phase class pairs needed, budget is 5"),
+    ],
+    ids=["deepest-level-nodes", "middle-level-directions", "phase-class-pairs"],
+)
+def test_a_decay_window_fails_as_its_levels_do_one_at_a_time(capsys, argv, stderr):
+    """Exit code and stderr of a window past the budget are those of the
+    levels swept one at a time, lowest first."""
+    code, out, err = run(capsys, "decay", *argv)
+    assert (code, out, err) == (EXIT_BUDGET, "", f"error: budget exceeded: {stderr}\n")
 
 
 @pytest.mark.parametrize(

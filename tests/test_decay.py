@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import padicsums.decay
+import padicsums.expsum
 from padicsums.decay import (
     ABS_SQUARE_CLASS_LIMIT,
     DecayRecord,
@@ -13,11 +14,12 @@ from padicsums.decay import (
     primitive_direction_count,
     primitive_directions,
     sup_at_level,
+    sweep_window,
 )
 from padicsums.errors import BudgetExceededError, ExactVanishingError, FitError
-from padicsums.expsum import EvalRequest, eval_recursive, eval_unit_directions
+from padicsums.expsum import EvalRequest, Window, eval_naive, eval_recursive, eval_unit_directions
 from padicsums.padic import PhaseHistogram, PrimeContext
-from padicsums.polymap import SchwartzBruhat, coefficient_floor, parse_polymap, substitute_affine
+from padicsums.polymap import PolyMap, SchwartzBruhat, coefficient_floor, parse_polymap, substitute_affine
 from tests.test_expsum import make_random_sweep_instance, phase_poly
 
 CTX3 = PrimeContext(3)
@@ -192,7 +194,7 @@ def test_multi_component_sweep_matches_per_direction_eval():
 
 def test_sweep_rejects_bad_directions():
     """At every r, a direction of the wrong length or with no unit
-    coordinate is a ValueError."""
+    coordinate is a ValueError, and so is a level its window lacks."""
     square = parse_polymap("x1^2", 1)
     pair = parse_polymap("x1; x1^2", 1)
     for f, bad in (
@@ -202,6 +204,9 @@ def test_sweep_rejects_bad_directions():
     ):
         with pytest.raises(ValueError):
             list(eval_unit_directions(f, PHI1, 2, CTX3, bad))
+    for f in (square, pair):  # a level outside the window it is handed
+        with pytest.raises(ValueError, match="not in the window"):
+            list(eval_unit_directions(f, PHI1, 3, CTX3, None, Window(f, PHI1, (1, 2), CTX3)))
 
 
 def test_sweep_none_streams_every_primitive_direction():
@@ -395,3 +400,107 @@ def test_decay_record_json():
     rec = DecayRecord(2, 0.5, 1e-15, (1, 2), True, False, Fraction(1, 4))
     d = rec.to_json_dict()
     assert d["m"] == 2 and d["argmax_u"] == [1, 2] and d["sup_square"] == "1/4"
+
+
+def _window_instance(rng):
+    """(f, phi, m0, m1, ctx): an r = 1 map in n <= 2 variables over p in
+    {2, 3, 5}, integral or with p-power denominators, under the unit
+    polydisc, a ball centred off it or a ball with k < 0, and a window of
+    1..6 levels whose deepest residue grid stays small."""
+    while True:
+        p = rng.choice((2, 3, 5))
+        n = rng.choice((1, 2))
+        poly = {}
+        for _ in range(rng.randint(1, 3)):
+            exp = tuple(rng.randint(0, 3) for _ in range(n))
+            if 0 < sum(exp) <= 4:
+                poly[exp] = Fraction(rng.choice((1, 2, -1, 4)), p ** rng.choice((0, 0, 0, 1)))
+        if not poly:
+            continue
+        f = PolyMap(n, (poly,))
+        shape = rng.choice(("unit", "off-centre", "k<0", "two balls"))
+        center = [Fraction(rng.randint(-2, 2), rng.choice((1, p))) for _ in range(n)]
+        if shape == "unit":
+            phi = SchwartzBruhat.trivial(n)
+        elif shape == "off-centre":
+            phi = SchwartzBruhat.ball(center, rng.randint(0, 1), rng.choice((1, Fraction(-1, 2))))
+        elif shape == "k<0":
+            phi = SchwartzBruhat.ball(center, -1, 3)
+        else:
+            phi = SchwartzBruhat(n, SchwartzBruhat.trivial(n).terms + SchwartzBruhat.ball(center, 1, -2).terms)
+        m1 = rng.randint(1, 6)
+        m0 = rng.choice((1, rng.randint(max(1, m1 - 5), m1)))
+        ctx = PrimeContext(p, 10**6)
+        clears = [level - m1 for level, *_ in Window(f, phi, (m1,), ctx).balls()]
+        if p ** ((m1 + max(clears)) * n) <= 3**9:
+            return f, phi, m0, m1, ctx, shape, max(clears)
+
+
+def test_window_levels_equal_one_level_sweeps_and_the_grid():
+    """Every level of an r = 1 window, read off one walk at its deepest
+    level, is E(1 / p**m) as a one-level window and ``eval_naive`` find it;
+    the records of ``sweep_window``, exhaustive and sampled, are those of
+    ``sup_at_level`` one level at a time."""
+    rng = random.Random(124)
+    seen = {"levels": 0, "B > 0": 0, "denominators": 0, "six levels": 0, "nonzero": 0}
+    covered = set()
+    for i in range(150):
+        f, phi, m0, m1, ctx, shape, clear = _window_instance(rng)
+        p = ctx.p
+        window = Window(f, phi, range(m0, m1 + 1), ctx)
+        for m in range(m0, m1 + 1):
+            hist = window.unit_base(m)
+            assert hist == Window(f, phi, (m,), ctx).unit_base(m), (f, phi, m0, m1, m)
+            naive = eval_naive(EvalRequest.of(f, [Fraction(1, p**m)], ctx, phi)).histogram.reduced()
+            assert hist == naive, (f, phi, m0, m1, m)
+            seen["levels"] += 1
+            seen["nonzero"] += bool(hist.counts)
+        strategy = "exhaustive" if i % 2 else ("sample", rng.randint(1, 12), rng.randint(0, 99))
+        levels = range(m0, m1 + 1)
+        assert sweep_window(f, phi, levels, strategy, ctx) == [
+            sup_at_level(f, phi, m, strategy, ctx) for m in levels
+        ], (f, phi, m0, m1, strategy)
+        seen["B > 0"] += clear > 0
+        seen["denominators"] += any(c.denominator > 1 for c in f.components[0].values())
+        seen["six levels"] += m1 - m0 == 5
+        covered.add((p, f.n, shape))
+    assert seen["levels"] >= 300 and seen["nonzero"] >= 150, seen
+    assert seen["B > 0"] >= 50 and seen["denominators"] >= 25 and seen["six levels"] >= 8, seen
+    assert {(p, n) for p, n, _ in covered} == {(p, n) for p in (2, 3, 5) for n in (1, 2)}, covered
+    assert {shape for *_, shape in covered} == {"unit", "off-centre", "k<0", "two balls"}, covered
+
+
+def test_a_unit_window_integerizes_each_ball_once_and_walks_once(monkeypatch):
+    """An r = 1 window of several levels calls ``_ball_images`` once per
+    ball and walks once per ball and variable group, all at its deepest
+    level, with the splits of ``eval`` at y = 1 / p**m1."""
+    images, walks = [], []
+    ball_images, collect_leaves = padicsums.expsum._ball_images, padicsums.expsum._collect_leaves
+
+    def counted_images(*args):
+        images.append(args)
+        return ball_images(*args)
+
+    def counted_walk(g, levels, *args):
+        counts, stats = collect_leaves(g, levels, *args)
+        walks.append((levels, stats))
+        return counts, stats
+
+    monkeypatch.setattr(padicsums.expsum, "_ball_images", counted_images)
+    monkeypatch.setattr(padicsums.expsum, "_collect_leaves", counted_walk)
+    two_balls = SchwartzBruhat(2, SchwartzBruhat.trivial(2).terms + SchwartzBruhat.ball([1, Fraction(1, 3)], 1, -1).terms)
+    cases = [
+        (parse_polymap("x1^3 + x1^4", 1), PHI1, 1, 8, "exhaustive", 1),
+        (parse_polymap("x1^2 + x2^3", 2), two_balls, 2, 5, "exhaustive", 4),
+        (parse_polymap("x1^3 + x2^2", 2), SchwartzBruhat.trivial(2), 1, 5, ("sample", 48, 1), 2),
+    ]
+    for f, phi, m0, m1, strategy, walked in cases:
+        images.clear()
+        walks.clear()
+        sweep_window(f, phi, range(m0, m1 + 1), strategy, CTX3)
+        assert len(images) == len(phi.terms) and len(walks) == walked
+        assert {len(levels) for levels, _ in walks} == {m1 - m0 + 1}
+        splits = sum(stats.splits for _, stats in walks)
+        walks.clear()
+        result = eval_recursive(EvalRequest.of(f, [Fraction(1, 3**m1)], CTX3, phi))
+        assert len(walks) == walked and splits == result.stats.splits > 0

@@ -170,7 +170,7 @@ def rational_phase_eval(req, method):
             counts, st = _naive_counts(g, level, mod, n, p, budget)
             mean = PhaseHistogram(p, level, counts, Fraction(p) ** (-level * n))
         else:
-            mean, st = _split_walk(g, level, mod, n, p, budget)
+            (mean,), st = _split_walk(g, (level,), mod, n, p, budget)
         total = total + mean.scaled(ball.weight * Fraction(p) ** (-ball.k * n))
         stats = stats + st
     return EvalResult(total, stats)
@@ -459,14 +459,14 @@ def test_last_layer_matches_the_split_walk():
         g, level, mod, n, p = _random_leaf_instance(rng)
         expected = _reference_leaves(g, level, mod, n, p)
         need = 1 + expected[1].splits * p**n
-        counts, stats = _collect_leaves(g, level, mod, n, p, need)
+        (counts,), stats = _collect_leaves(g, (level,), mod, n, p, need)
         assert (list(counts.items()), stats) == (list(expected[0].items()), expected[1]), (g, mod, n)
         if expected[1].splits:
             with pytest.raises(BudgetExceededError) as parent:
                 for _ in descend_cosets((g,), mod, n, p, _classify, need - 1):
                     pass
             with pytest.raises(BudgetExceededError) as exc:
-                _collect_leaves(g, level, mod, n, p, need - 1)
+                _collect_leaves(g, (level,), mod, n, p, need - 1)
             assert str(exc.value) == str(parent.value)
         rule = _last_layer_rule(max(mod // p**2, 1))
         labels = [kind for *_, kind, _ in descend_cosets((g,), mod, n, p, rule, need)]
@@ -658,6 +658,42 @@ def make_separable_instance(rng):
     return EvalRequest.of(PolyMap(n, tuple(comps)), y, PrimeContext(p, 50_000), phi)
 
 
+def test_window_levels_are_read_off_the_deepest_tree():
+    """One walk at the deepest level M gives every level's sum: the leaves
+    shallower than L and the nodes at depth exactly L, read mod p**L, reduce
+    to the level-L walk's histogram.  Level M's counts, in class order, its
+    stats and its budget are those of the one-level walk."""
+    rng = random.Random(124)
+    seen, covered = Counter(), set()
+    while seen["windows"] < 500:
+        g, top, mod, n, p = _random_leaf_instance(rng)
+        if top == 1:
+            continue
+        seen["windows"] += 1
+        levels = tuple(sorted(rng.sample(range(1, top), rng.randint(0, top - 1)))) + (top,)
+        counts, stats = _collect_leaves(g, levels, mod, n, p, 10**6)
+        (alone,), alone_stats = _collect_leaves(g, (top,), mod, n, p, 10**6)
+        assert (list(counts[-1].items()), stats) == (list(alone.items()), alone_stats), (g, levels)
+        if stats.splits:
+            need = 1 + stats.splits * p**n
+            with pytest.raises(BudgetExceededError, match=f"more than {need - 1} coset nodes"):
+                _collect_leaves(g, levels, mod, n, p, need - 1)
+        for level, at in zip(levels[:-1], counts):
+            low = p**level
+            (expected,), _ = _collect_leaves(
+                {exp: c % low for exp, c in g.items() if c % low}, (level,), low, n, p, 10**6
+            )
+            scale = Fraction(p) ** (-level * n)
+            got = PhaseHistogram(p, level, at, scale).reduced()
+            assert got == PhaseHistogram(p, level, expected, scale).reduced(), (g, levels, level)
+            seen["levels"] += 1
+            seen["nonzero"] += bool(got.counts)
+            seen["read off a different tree"] += at != expected
+            covered.add((p, n))
+    assert seen["levels"] >= 600 and seen["nonzero"] >= 400 and seen["read off a different tree"] >= 100, seen
+    assert covered >= {(p, n) for p in (2, 3, 5, 7) for n in (1, 2)} | {(2, 3)}, covered
+
+
 def _joint_walk(req, budget):
     """The value of ``req`` from one coset walk of the whole phase per ball,
     in all n variables, each of at most ``budget`` nodes: the evaluator
@@ -667,7 +703,7 @@ def _joint_walk(req, budget):
     for ball in req.phi.terms:
         gb = substitute_affine(phase_poly(req), ball.center, Fraction(p) ** ball.k, n, 10**6)
         level, mod, (g,) = integer_images([gb], p, 0)
-        counts, _ = _collect_leaves(g, level, mod, n, p, budget)
+        (counts,), _ = _collect_leaves(g, (level,), mod, n, p, budget)
         total = total + PhaseHistogram(p, level, counts, ball.weight * Fraction(p) ** (-(ball.k + level) * n))
     return total.reduced()
 
@@ -679,7 +715,7 @@ def test_a_cancelling_group_builds_no_power_of_its_level():
     level = 2_000_000
     mod = 3**level
     start = time.perf_counter()
-    hist, stats = _split_walk({(1, 0): 1, (0, 1): 2}, level, mod, 2, 3, 10)
+    (hist,), stats = _split_walk({(1, 0): 1, (0, 1): 2}, (level,), mod, 2, 3, 10)
     zero = PhaseHistogram(3, level, {5: 0}, Fraction(1, 3)).reduced()
     assert time.perf_counter() - start < 0.1
     assert hist == zero == PhaseHistogram.zero(3) and (stats.p2, stats.splits) == (2, 0)
@@ -690,17 +726,17 @@ def test_groups_after_a_zero_factor_are_walked_but_not_formed(monkeypatch):
     their work counts and the node budget, but no histogram is formed or
     multiplied for them."""
     g = {(1, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 2}  # x1 cancels at its root
-    _, x2 = _collect_leaves({(2,): 1}, 3, 27, 1, 3, 100)
-    _, x3 = _collect_leaves({(2,): 2}, 3, 27, 1, 3, 100)
+    _, x2 = _collect_leaves({(2,): 1}, (3,), 27, 1, 3, 100)
+    _, x3 = _collect_leaves({(2,): 2}, (3,), 27, 1, 3, 100)
     reductions = []
     reduced = PhaseHistogram.reduced
     monkeypatch.setattr(PhaseHistogram, "reduced", lambda h: reductions.append(h) or reduced(h))
-    hist, stats = _split_walk(g, 3, 27, 3, 3, 100)
+    (hist,), stats = _split_walk(g, (3,), 27, 3, 3, 100)
     assert hist == PhaseHistogram.zero(3) and not reductions
     assert x2.splits and x3.splits and stats == PruneStats(p2=1, leaves=1) + x2 + x3
     need = 1 + x3.splits * 3
     with pytest.raises(BudgetExceededError, match=f"more than {need - 1} coset nodes"):
-        _split_walk(g, 3, 27, 3, 3, need - 1)
+        _split_walk(g, (3,), 27, 3, 3, need - 1)
 
 
 def test_split_walk_matches_naive_and_joint_walk():
