@@ -124,8 +124,8 @@ def sweep_window(
     of levels whose exhaustive direction count fits the budget shares one
     ``Window``: for r = 1 it costs one integerization per ball of phi and
     one walk of its deepest level per ball and variable group, and for
-    r >= 2 one integerization per ball and one walk per direction and
-    level.
+    r >= 2 one integerization per ball, one group plan per support of a
+    direction's phase, and one walk per direction, level and group.
 
     An exhaustive sweep fails at the first level past that count, with its
     error, so the window is walked no deeper than the sweep can go.  A

@@ -69,7 +69,11 @@ oracles.
 with the images of a ``Window``: the levels of one sweep, whose balls are
 integerized once, at the deepest level m1.  For r >= 2 it walks each
 direction's ``_combination`` with ``_split_walk``, as ``eval_recursive``
-does for one frequency: one walk per direction and level.  For r = 1 it
+does for one frequency: one walk per direction, level and variable group.
+The groups come from a ``_GroupPlan``, which depends only on the support
+of the combination and is built once per support and window; under a
+phi of one ball of weight 1 a direction's reduced mean is its value, with
+no scaling, sum or second reduction.  For r = 1 it
 applies the Galois action to E(1 / p**m), and the window finds that for
 every level from one walk per ball and variable group, the level-m1 walk:
 a level L < M = m1 + B is read off that tree, from its leaves shallower
@@ -539,28 +543,56 @@ def _naive_counts(
 # ------------------------------------------------------------------ evaluators
 
 
-def _variable_groups(g: IntPoly, n: int) -> list[list[int]]:
-    """The variables of G's nonconstant monomials in connected groups, each
-    ascending, the groups in order of their least variable: two variables
-    share a group when some monomial contains both.  Variables in no
-    monomial are in no group."""
+def _variable_groups(support: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
+    """The variables of the nonconstant exponent vectors of ``support`` in
+    connected groups, each ascending, the groups in order of their least
+    variable: two variables share a group when some monomial contains both.
+    Variables in no monomial are in no group."""
     groups: list[set[int]] = []
-    for exp in g:
-        support = {i for i in range(n) if exp[i]}
-        if support:
-            apart = [s for s in groups if not s & support]
-            groups = apart + [support.union(*(s for s in groups if s & support))]
+    for exp in support:
+        share = {i for i in range(n) if exp[i]}
+        if share:
+            apart = [s for s in groups if not s & share]
+            groups = apart + [share.union(*(s for s in groups if s & share))]
     return sorted(sorted(s) for s in groups)
 
 
+class _GroupPlan:
+    """How ``_split_walk`` splits every polynomial whose support (the set of
+    its exponent vectors) is ``support``: its variable groups
+    (``_variable_groups``, or one group of no variables when the support
+    has no nonconstant monomial), and for each exponent vector the group it
+    belongs to and its exponent vector in that group's own variables, the
+    constant term on the first group.  ``sizes`` are the groups' variable
+    counts, and ``measure[e]`` is p**(-e), built on first use: a group of s
+    variables walked at level L is normalized by ``measure[L * s]``.
+
+    The plan depends on the support alone, so the directions of a sweep
+    whose combinations share a support share one plan (``Window``).
+    """
+
+    __slots__ = ("sizes", "route", "measure")
+
+    def __init__(self, support: Iterable[tuple[int, ...]], n: int, p: int):
+        groups = _variable_groups(support, n) or [[]]
+        self.sizes = [len(group) for group in groups]
+        self.route: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+        for exp in support:
+            index = next((j for j, group in enumerate(groups) if any(exp[i] for i in group)), 0)
+            self.route[exp] = index, tuple(exp[i] for i in groups[index])
+        self.measure = _Lazy(lambda e: Fraction(p) ** -e)
+
+
 def _split_walk(
-    g: IntPoly, levels: Sequence[int], mod: int, n: int, p: int, budget: int
+    g: IntPoly, levels: Sequence[int], mod: int, n: int, p: int, budget: int,
+    plan: _GroupPlan | None = None,
 ) -> tuple[list[PhaseHistogram], PruneStats]:
     """For each level L of ``levels`` (ascending, the last one that of
     ``mod``), the sum of psi(G(t) / p**L) over the unit polydisc, normalized
     by its measure: one coset walk per variable group of G, whose tree
     serves every level (``_collect_leaves``), and the groups' sums
-    multiplied level by level.
+    multiplied level by level.  ``plan`` is the ``_GroupPlan`` of G's
+    support, built here when it is None.
 
     The sum factors over the groups (Fubini): each group's walk runs in its
     own variables, and a variable in no group integrates to 1.  The
@@ -570,19 +602,21 @@ def _split_walk(
     Every group is walked before any product is formed.  Once a group's sum
     cancels at a level, the product there is zero, and the later groups'
     histograms are not formed at that level: a zero factor pairs no classes.
+    The means are reduced.
     """
-    zero = (0,) * n
+    if plan is None:
+        plan = _GroupPlan(g, n, p)
+    parts: list[IntPoly] = [{} for _ in plan.sizes]
+    route = plan.route
+    for exp, c in g.items():
+        index, local = route[exp]
+        parts[index][local] = c
     walks = []  # (variable count, counts by level) of each group
     stats = PruneStats()
-    for index, group in enumerate(_variable_groups(g, n) or [[]]):
-        part = {
-            tuple(exp[i] for i in group): c
-            for exp, c in g.items()
-            if any(exp[i] for i in group) or (exp == zero and index == 0)
-        }
-        counts, st = _collect_leaves(part, levels, mod, len(group), p, budget)
+    for size, part in zip(plan.sizes, parts):
+        counts, st = _collect_leaves(part, levels, mod, size, p, budget)
         stats = stats + st
-        walks.append((len(group), counts))
+        walks.append((size, counts))
     means = []
     for i, level in enumerate(levels):
         product, pairs = None, 0
@@ -590,7 +624,7 @@ def _split_walk(
             if not counts[i]:  # the sum cancels: no power of p is built for it
                 product = PhaseHistogram.zero(p)
                 break
-            factor = PhaseHistogram(p, level, counts[i], Fraction(p) ** (-level * size)).reduced()
+            factor = PhaseHistogram(p, level, counts[i], plan.measure[level * size]).reduced()
             if product is not None:
                 pairs += len(product.counts) * len(factor.counts)
                 if pairs > budget:
@@ -711,16 +745,20 @@ def primitive_directions(p: int, m: int, r: int) -> Iterator[tuple[int, ...]]:
 
 class Window:
     """The levels of one decay sweep of f under phi, ascending, sharing each
-    ball's images and, for r = 1, one walk.
+    ball's images, the group plans of the phases it walks and, for r = 1,
+    one walk.
 
     The clearing exponent B and the weight of a ball do not depend on the
     level, and the images at level m are those at the deepest level m1
     reduced mod p**(m+B), which ``_combination`` does.  So each ball of phi
     is integerized once, at m1, when a level's sweep first needs it.
     ``walker(m)`` walks a direction's phase at level m + B on each ball, one
-    walk per (direction, level).  For r = 1, the first ``unit_base`` walks
-    the phase of u = (1,) once per ball and variable group, at m1 + B, and
-    reads every level's E(1 / p**m) off that tree (``_collect_leaves``).
+    walk per (direction, level) and variable group.  A phase's variable
+    groups depend only on its support, which takes few values over a
+    window's directions and levels, so ``_GroupPlan`` is built once per
+    support and window.  For r = 1, the first ``unit_base`` walks the phase
+    of u = (1,) once per ball and variable group, at m1 + B, and reads every
+    level's E(1 / p**m) off that tree (``_collect_leaves``).
 
     That walk is the level-m1 walk, and every shallower level's tree is a
     subtree of it, so it passes the node budget whenever one of theirs
@@ -731,7 +769,7 @@ class Window:
     one the window met.  Nothing is kept beyond the window's own life.
     """
 
-    __slots__ = ("f", "phi", "levels", "ctx", "_balls", "_bases")
+    __slots__ = ("f", "phi", "levels", "ctx", "_balls", "_bases", "_plans")
 
     def __init__(self, f: PolyMap, phi: SchwartzBruhat, levels: Sequence[int], ctx: PrimeContext):
         self.f = f
@@ -740,6 +778,7 @@ class Window:
         self.ctx = ctx
         self._balls: list[tuple[int, int, list[IntPoly], Fraction]] | None = None
         self._bases: dict[int, PhaseHistogram] | None = None
+        self._plans = _Lazy(lambda support: _GroupPlan(support, f.n, ctx.p))
 
     def balls(self) -> list[tuple[int, int, list[IntPoly], Fraction]]:
         """``_ball_images`` of each ball at the deepest level, built on the
@@ -753,20 +792,31 @@ class Window:
 
     def walker(self, m: int) -> Callable[[tuple[int, ...]], PhaseHistogram]:
         """u -> E(u / p**m), reduced: the integer path of ``eval_recursive``
-        at y = u / p**m, with the window's images."""
-        p, n, budget = self.ctx.p, self.f.n, self.ctx.naive_budget
+        at y = u / p**m, with the window's images and group plans.
+
+        Each ball's mean from ``_split_walk`` is reduced.  A ball of weight
+        1 is not scaled, and the weighted means are summed and the sum
+        reduced only when phi has two or more balls or a weight other than
+        1: under the default unit polydisc, the one ball's mean is E."""
+        p, n, budget, plans = self.ctx.p, self.f.n, self.ctx.naive_budget, self._plans
         shift = self.levels[-1] - m
         balls = [
             (level - shift, p ** (level - shift) if shift else mod, images, weight)
             for level, mod, images, weight in self.balls()
         ]
+        plain = len(balls) == 1 and balls[0][3] == 1
 
         def walk(u: tuple[int, ...]) -> PhaseHistogram:
-            total = PhaseHistogram.zero(p)
+            total = None
             for level, mod, images, weight in balls:
-                (mean,), _ = _split_walk(_combination(u, images, mod), (level,), mod, n, p, budget)
-                total = total + mean.scaled(weight)
-            return total.reduced()
+                g = _combination(u, images, mod)
+                (mean,), _ = _split_walk(g, (level,), mod, n, p, budget, plans[frozenset(g)])
+                if weight != 1:
+                    mean = mean.scaled(weight)
+                total = mean if total is None else total + mean
+            if plain:
+                return total
+            return PhaseHistogram.zero(p) if total is None else total.reduced()  # None: no balls
 
         return walk
 
@@ -816,7 +866,12 @@ def eval_unit_directions(
     ball, G_u = sum_j u_j G_j (``_combination``) mod p**(m+B), with
     ``_split_walk`` and sums the weighted means: the integer path of
     ``eval_recursive`` at y = u / p**m.  Each direction is walked on its
-    own, at each level: one walk per (direction, level).
+    own, at each level: one walk per (direction, level, variable group).
+    What else a direction costs: on each ball, the combination and a lookup
+    of its support's ``_GroupPlan`` (built once per support and window),
+    and the reduction of each group's sum and product.  Under one ball of
+    weight 1 that reduced mean is yielded as it is; several balls, or a
+    weight other than 1, add a scaling per ball and one reduced sum.
 
     For r = 1, a unit u rescales every coefficient of the phase polynomial
     by a p-adic unit, so the coset classification (vanishing of

@@ -473,8 +473,10 @@ def parse_polymap(text: str, n: int) -> PolyMap:
 
 def _variable_index(digits: str, pos: int) -> int:
     """The index a variable's digits name, leading zeros ignored (x01 is x1);
-    ParseError past MAX_VARIABLES."""
-    digits = digits.lstrip("0") or "0"
+    ParseError for index 0 and past MAX_VARIABLES."""
+    digits = digits.lstrip("0")
+    if not digits:
+        raise ParseError("variable index 0: variables are numbered from x1", pos)
     # compare lengths first: int() refuses thousands of digits
     if len(digits) > len(str(MAX_VARIABLES)) or int(digits) > MAX_VARIABLES:
         raise ParseError(f"variable index exceeds limit {MAX_VARIABLES}", pos)

@@ -113,6 +113,17 @@ def test_eval_parse_error_exit(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name, pos", [("x0", 0), ("x00", 0), ("x1+x0", 3)])
+def test_variable_index_zero_is_a_parse_error(capsys, name, pos):
+    """x0 is refused where it stands, naming x1 as the first variable; it
+    was once read as a map in no variables ("have x1..x0").  x01 is x1."""
+    code, out, err = run(capsys, "eval", "--map", name, "--y", "1/3")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"error: variable index 0: variables are numbered from x1 (at position {pos})\n"
+    x01, x1 = (json.loads(run(capsys, "eval", "--map", text, "--y", "1/3")[1]) for text in ("x01", "x1"))
+    assert x01["histogram"] == x1["histogram"] and x01["config"]["map"] == "x01"
+
+
 def test_deeply_nested_map_is_a_parse_error(capsys):
     deep = "(" * 3000 + "x1" + ")" * 3000
     code, out, err = run(capsys, "eval", "--map", deep, "--y", "1/3")
@@ -506,12 +517,22 @@ def test_expanding_a_high_power_about_a_unit_builds_no_binomials_term_by_term(ca
         # level 1, swept alone, already pairs 6 phase classes
         (["--prime", "2", "--map", "x1^2+x2^2+x3^2", "--levels", "1..4", "--budget", "5"],
          "6 phase class pairs needed, budget is 5"),
+        # r = 2: levels 1..3 are swept; level 4's 5832 directions pass the budget
+        (["--map", "x1;x2^2", "--levels", "1..5", "--budget", "1000"],
+         "5832 directions (use a sample strategy) needed, budget is 1000"),
+        # r = 2: level 1 fits; a direction's walk at level 2 (M = 4) does not
+        (["--map", "1/9*x1^3+1/9*x2^3+x1*x2;x1", "--levels", "1..3", "--budget", "90"],
+         "more than 90 coset nodes needed, budget is 90"),
+        # r = 2: u = (1, 0) at level 1 is four Gauss sums, whose products pair 12 classes
+        (["--map", "x1^2+x2^2+x3^2+x4^2;x1", "--levels", "1..2", "--budget", "10"],
+         "12 phase class pairs needed, budget is 10"),
     ],
-    ids=["deepest-level-nodes", "middle-level-directions", "phase-class-pairs"],
+    ids=["deepest-level-nodes", "middle-level-directions", "phase-class-pairs",
+         "r2-middle-level-directions", "r2-walk-nodes", "r2-phase-class-pairs"],
 )
 def test_a_decay_window_fails_as_its_levels_do_one_at_a_time(capsys, argv, stderr):
     """Exit code and stderr of a window past the budget are those of the
-    levels swept one at a time, lowest first."""
+    levels swept one at a time, lowest first, for r = 1 and r = 2."""
     code, out, err = run(capsys, "decay", *argv)
     assert (code, out, err) == (EXIT_BUDGET, "", f"error: budget exceeded: {stderr}\n")
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -504,3 +505,131 @@ def test_a_unit_window_integerizes_each_ball_once_and_walks_once(monkeypatch):
         walks.clear()
         result = eval_recursive(EvalRequest.of(f, [Fraction(1, 3**m1)], CTX3, phi))
         assert len(walks) == walked and splits == result.stats.splits > 0
+
+
+def _plan_window_instance(rng, r):
+    """(f, phi, levels, ctx, shape): an r-component map over p in {2, 3, 5}
+    whose components share monomials, with coefficients that are units,
+    multiples of p or over p, so that sum_j u_j G_j loses or keeps a
+    monomial as u and the level vary; phi is the unit polydisc, one ball
+    of weight other than 1, or two weighted balls; the window has 2 or 3
+    levels."""
+    p = rng.choice((2, 3, 5))
+    n = rng.choice((2, 3))
+    pool = [exp for exp in itertools.product(range(3), repeat=n) if 0 < sum(exp) <= 3]
+    shared = rng.sample(pool, 3)
+    components = []
+    for _ in range(r):
+        comp = {}
+        for exp in rng.sample(shared, rng.randint(1, 3)):
+            comp[exp] = Fraction(rng.choice((1, 2, -1, 4))) * Fraction(p) ** rng.choice((0, 0, 1, -1))
+        components.append(comp)
+    shape = rng.choice(("unit", "weighted ball", "two balls"))
+    center = [Fraction(rng.randint(-2, 2), rng.choice((1, p))) for _ in range(n)]
+    if shape == "unit":
+        phi = SchwartzBruhat.trivial(n)
+    elif shape == "weighted ball":
+        phi = SchwartzBruhat.ball(center, rng.randint(0, 1), rng.choice((-1, Fraction(3, 2))))
+    else:
+        phi = SchwartzBruhat(n, SchwartzBruhat.trivial(n).terms + SchwartzBruhat.ball(center, 1, Fraction(-2, 3)).terms)
+    levels = (1, 2, 3) if (p, r) == (2, 2) else (1, 2)
+    return PolyMap(n, tuple(components)), phi, levels, PrimeContext(p, 10**6), shape
+
+
+def test_multi_component_windows_share_group_plans_exactly(monkeypatch):
+    """Every histogram an r >= 2 window yields is the reduced eval_recursive
+    at y = u/p**m, and every record is ``_reference_record``'s, while the
+    window's levels share one group plan per support: windows of 2-3
+    levels, r in {2, 3}, p in {2, 3, 5}, the unit polydisc, one weighted
+    ball and two balls, exhaustive and sampled streams, repeats included.
+    The supports, and so the variable groups, change with u and with the
+    level."""
+    walked = []  # (support, plan) of each walk the window's sweep makes
+    split_walk = padicsums.expsum._split_walk
+
+    def spy(g, levels, mod, n, p, budget, plan=None):
+        walked.append((frozenset(g), plan))
+        return split_walk(g, levels, mod, n, p, budget, plan)
+
+    monkeypatch.setattr(padicsums.expsum, "_split_walk", spy)
+
+    def swept(f, phi, m, ctx, directions, window):
+        """The stream of one level, and the (support, plan) of each walk."""
+        walked.clear()
+        out = list(eval_unit_directions(f, phi, m, ctx, directions, window))
+        plans = list(walked)
+        for u, hist in out:
+            y = [Fraction(c, ctx.p**m) for c in u]
+            assert hist == eval_recursive(EvalRequest.of(f, y, ctx, phi)).histogram.reduced(), (f, phi, m, u)
+        return out, plans
+
+    # u = (1, 1) cancels x1*x2 mod 3 but not mod 9: two groups at level 1, one at level 2
+    f = parse_polymap("x1*x2+x1; 2*x1*x2+x2", 2)
+    window = Window(f, SchwartzBruhat.trivial(2), (1, 2), CTX3)
+    for m, sizes in ((1, [1, 1]), (2, [2])):
+        _, plans = swept(f, window.phi, m, CTX3, [(1, 1)], window)
+        assert [plan.sizes for _, plan in plans] == [sizes]
+
+    rng = random.Random(126)
+    seen = {"directions": 0, "repeats": 0, "supports vary with u": 0, "supports vary with m": 0}
+    covered = set()
+    for i in range(24):
+        r = 2 + i % 2
+        f, phi, levels, ctx, shape = _plan_window_instance(rng, r)
+        p = ctx.p
+        sampled = i % 3 == 0 or primitive_direction_count(p, levels[-1], r) > 80
+        window = Window(f, phi, levels, ctx)
+        supports_by_level, plans = [], {}
+        for m in levels:
+            if sampled:
+                directions = list(_sample_directions(p, m, r, rng.randint(4, 16), rng.randint(0, 99)))
+                seen["repeats"] += len(directions) - len(set(directions))
+            else:
+                directions = None
+            out, walks = swept(f, phi, m, ctx, directions, window)
+            seen["directions"] += len(out)
+            for support, plan in walks:  # one plan per support in the whole window
+                assert plans.setdefault(support, plan) is plan
+            supports_by_level.append({support for support, _ in walks})
+        seen["supports vary with u"] += any(len(level) > 1 for level in supports_by_level)
+        seen["supports vary with m"] += len({frozenset(level) for level in supports_by_level}) > 1
+        strategy = ("sample", rng.randint(4, 16), rng.randint(0, 99)) if sampled else "exhaustive"
+        assert sweep_window(f, phi, levels, strategy, ctx) == [
+            _reference_record(f, phi, m, strategy, ctx) for m in levels
+        ], (f, phi, levels, p, strategy)
+        covered.add((r, p, shape, sampled))
+    assert seen["directions"] > 700 and seen["repeats"] > 20, seen
+    assert seen["supports vary with u"] >= 20 and seen["supports vary with m"] >= 20, seen
+    assert {(r, p) for r, p, *_ in covered} == {(r, p) for r in (2, 3) for p in (2, 3, 5)}, covered
+    assert {shape for _, _, shape, _ in covered} == {"unit", "weighted ball", "two balls"}, covered
+    assert {sampled for *_, sampled in covered} == {True, False}, covered
+
+
+def test_a_multi_component_window_plans_each_support_once(monkeypatch):
+    """``x1;x2^2`` at levels 1..3 sweeps 728 directions but has three
+    supports, {x1, x2^2}, {x1} and {x2^2}, so ``_variable_groups`` runs three
+    times; under the unit polydisc no mean is scaled; and every walk still
+    runs: two groups for each of the 676 directions with u1 and u2 nonzero
+    mod p**m, one for the other 52."""
+    supports, calls = [], {"scaled": 0, "walks": 0}
+    variable_groups, collect_leaves = padicsums.expsum._variable_groups, padicsums.expsum._collect_leaves
+    scaled = PhaseHistogram.scaled
+
+    def counted_groups(support, n):
+        supports.append(frozenset(support))
+        return variable_groups(support, n)
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(padicsums.expsum, "_variable_groups", counted_groups)
+    monkeypatch.setattr(padicsums.expsum, "_collect_leaves", counted("walks", collect_leaves))
+    monkeypatch.setattr(PhaseHistogram, "scaled", counted("scaled", scaled))
+    f = parse_polymap("x1; x2^2", 2)
+    records = sweep_window(f, SchwartzBruhat.trivial(2), range(1, 4), "exhaustive", CTX3)
+    assert len(supports) == len(set(supports)) == 3
+    assert calls == {"scaled": 0, "walks": 2 * 676 + 52}
+    assert [rec.sup_square for rec in records] == [Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]

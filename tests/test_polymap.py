@@ -110,6 +110,18 @@ def test_variable_index_cap():
         parse_polymap("x" + "9" * 5000, 1)
 
 
+def test_variable_index_zero_is_rejected_where_it_stands():
+    """Variables are numbered from x1: x0 and x00 are refused at their
+    position, not read as a map in no variables; x01 stays x1."""
+    zero = "variable index 0: variables are numbered from x1"
+    for text, pos in (("x0", 0), ("x00", 0), ("x1 + x0^2", 5), ("x2*x" + "0" * 5000, 3)):
+        with pytest.raises(ParseError, match=f"{zero} \\(at position {pos}\\)"):
+            infer_variable_count(text)
+        with pytest.raises(ParseError, match=f"{zero} \\(at position {pos}\\)"):
+            parse_polymap(text, 2)
+    assert infer_variable_count("x01 + x2") == 2
+
+
 def test_degree_data_examples():
     f = parse_polymap("x1^2*x2; x2^3", 2)
     dd = degree_data(f, 3)
