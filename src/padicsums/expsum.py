@@ -44,13 +44,11 @@ after its terms are summed.
 The phase walk resolves its last digit layer at the parent.  When every
 coefficient of degree >= 2 of a node's G is divisible by p**(M-2), each
 child G(d + p*t) has no nonlinear term mod p**M: its linear coefficients
-are p * dG/dx_i(d) and its constant is G(d), so it is a P1 leaf when all of
-p * dG/dx_i(d) vanish mod p**M and a P2 leaf otherwise.  The phase rule
-labels such a node "last" (``_last_layer_rule``), and ``_collect_leaves``
-counts it as the split it stands for, in the stats and against the budget,
-but loops over its p**n digit vectors (``_last_layer``) instead of building
-the children.  The tree, the work counts and the values are those of the
-full walk.
+are p * dG/dx_i(d) and its constant is G(d).  The phase rule labels such a
+node "last" (``_last_layer_rule``), and ``_collect_leaves`` counts it as
+the split it stands for, in the stats and against the budget, but reads
+each child's constant and content off G (``_last_layer``) instead of
+building it.  The tree, the work counts and the values are the full walk's.
 
 ``eval_recursive`` first splits each ball's G into its variable groups: two
 variables share a group when some monomial contains both.  When G is a sum
@@ -73,22 +71,24 @@ does for one frequency: one walk per direction, level and variable group.
 The groups come from a ``_GroupPlan``, which depends only on the support
 of the combination and is built once per support and window; under a
 phi of one ball of weight 1 a direction's reduced mean is its value, with
-no scaling, sum or second reduction.  For r = 1 it
-applies the Galois action to E(1 / p**m), and the window finds that for
-every level from one walk per ball and variable group, the level-m1 walk:
-a level L < M = m1 + B is read off that tree, from its leaves shallower
-than L and its nodes at depth exactly L, which partition Z_p^n and are
-each P1 or P2 at L (``_collect_leaves``).  ``eval_recursive`` walks the
-one level of its frequency through the same code.
+no scaling, sum or second reduction.  For r = 1 it applies the Galois
+action to E(1 / p**m), and the window finds that for every level from one
+walk per ball and variable group, the level-m1 walk, by one rule
+(``_collect_leaves``): a leaf of that tree at depth k, walked or a child
+of a "last" node, is P1 at a level L >= k exactly when p**L divides its
+content, the gcd of its linear coefficients, and a node at depth exactly
+L is P1 at L.  ``eval_recursive`` walks the one level of its frequency
+through the same code.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from operator import mul
+from operator import add, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
@@ -139,13 +139,7 @@ class PruneStats(Value):
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "p1": self.p1,
-            "p2": self.p2,
-            "splits": self.splits,
-            "leaves": self.leaves,
-            "points": self.points,
-        }
+        return self._fields()
 
 
 class EvalRequest:
@@ -378,9 +372,10 @@ def _last_layer_rule(top: int) -> Callable[[tuple[dict[int, int], ...], Terms], 
     def rule(polys, terms: Terms) -> str | None:
         kind = _classify(polys, terms)
         if kind is None:
-            degree = terms.degree
-            if all(c % top == 0 for code, c in polys[0].items() if degree[code] >= 2):
-                return "last"
+            for code, c in polys[0].items():
+                if c % top and terms.degree[code] >= 2:
+                    return None
+            return "last"
         return kind
 
     return rule
@@ -396,29 +391,27 @@ def _outer(c: int, tables: Sequence[list[int]]) -> list[int]:
 
 
 def _last_layer(
-    g: dict[int, int], terms: Terms, n: int, p: int, mod: int, shallower: Sequence[int] = ()
-) -> tuple[list[int], list[list[int]]]:
-    """The phase classes of the P1 children of a "last" node, in
-    digit-lexicographic order, at the walk's level M (``mod`` = p**M) and
-    at each level L < M whose modulus p**L is in ``shallower`` (ascending;
-    the second list is shorter, or empty, when no child is P1 at the last
-    of them).  Its other children cancel at that level.
+    g: dict[int, int], terms: Terms, n: int, p: int, mod: int, least: int
+) -> list[tuple[int, int]]:
+    """(G(d) mod ``mod``, content) for each child of a "last" node that is P1
+    at the modulus ``least``, a power of p dividing ``mod`` = p**M, in
+    digit-lexicographic order of the digit vectors d; the others cancel
+    there and at every deeper level.
 
     The child at digit vector d is G(d + p*t).  Its nonlinear coefficients
     vanish mod p**M (each is p**|a| >= p**2 times a sum of coefficients of
     degree >= 2 of G), its coefficient of t_i is p * dG/dx_i(d) and its
-    constant is G(d): at level L it is P1 with class G(d) mod p**L exactly
-    when every p * dG/dx_i(d) vanishes mod p**L.  The slopes are found a
-    variable at a time, for all digit vectors at once, and the search stops
-    at the first variable whose slope is nonzero mod the least modulus at
-    every digit vector still in the running.  Each term's x_i**e reads d**e
-    and e * p * d**(e-1) from the row e of ``_expansions`` (its first two
-    entries, the latter absent when e * p vanishes mod p**M).
+    constant is G(d), all reduced mod p**M: its content, the gcd of its
+    linear coefficients, is that of the p * dG/dx_i(d) mod p**M.  The slopes
+    are found a variable at a time, for all digit vectors at once, and the
+    search stops at the first variable whose slope is nonzero mod ``least``
+    at every digit vector still in the running.  Each term's x_i**e reads
+    d**e and e * p * d**(e-1) from the row e of ``_expansions`` (its first
+    two entries, the latter absent when e * p vanishes mod p**M).
     """
     rows = _expansions(p, mod)
     monomials = [(c, terms.exponents[code]) for code, c in g.items()]
-    first = shallower[0] if shallower else mod
-    flat = [True] * p**n  # the children not yet known to be P2 at the least modulus
+    flat = [True] * p**n  # the children not yet known to cancel at ``least``
     slopes = []  # p * dG/dx_i at each digit vector, for each i
     for i in range(n):
         slope = [0] * p**n
@@ -427,34 +420,26 @@ def _last_layer(
             if e and len(rows[e]) > 1 and rows[e][1][0] == e - 1:
                 _, b, power = rows[e][1]
                 tables = [power if j == i else rows[f][0][2] for j, f in enumerate(exps)]
-                slope = [s + t for s, t in zip(slope, _outer(c * b, tables))]
-        flat = [f and not s % first for f, s in zip(flat, slope)]
+                slope = list(map(add, slope, _outer(c * b, tables)))
+        flat = [f and not s % least for f, s in zip(flat, slope)]
         if not any(flat):
-            return [], ()
+            return []
         slopes.append(slope)
     value = [0] * p**n
     for c, exps in monomials:
-        value = [s + t for s, t in zip(value, _outer(c, [rows[e][0][2] for e in exps]))]
-    if not shallower:
-        return [v % mod for v, is_flat in zip(value, flat) if is_flat], ()
-    moduli = (*shallower, mod)
-    found = [[] for _ in moduli]
-    for v, is_flat, *s in zip(value, flat, *slopes):
-        if is_flat:
-            content = gcd(*s)  # P1 at each modulus it is a multiple of
-            for classes, modulus in zip(found, moduli):
-                if content % modulus:
-                    break
-                classes.append(v % modulus)
-    return found[-1], found[:-1]
+        value = list(map(add, value, _outer(c, [rows[e][0][2] for e in exps])))
+    if least == mod:  # a child P1 at p**M has no linear terms mod p**M
+        return [(v % mod, 0) for v, is_flat in zip(value, flat) if is_flat]
+    cells = zip(value, flat, zip(*slopes))  # G(d), P1 at ``least``, the slopes at d
+    return [(v % mod, gcd(*map(mod.__rmod__, s))) for v, is_flat, s in cells if is_flat]
 
 
 def _collect_leaves(
     g: IntPoly, levels: Sequence[int], mod: int, n: int, p: int, budget: int
 ) -> tuple[list[dict[int, int]], PruneStats]:
-    """Phase-class counts of the P1 cells at each level L of ``levels``, in
-    units of p**(-L*n), from one walk of G reduced mod ``mod`` = p**M, M
-    the last and largest of ``levels``.
+    """Phase-class counts of the P1 cells at each level L of ``levels``
+    (ascending), in units of p**(-L*n), from one walk of G reduced mod
+    ``mod`` = p**M, M the last of ``levels``.
 
     The walk is the level-M walk, and its stats and budget are those of
     that walk alone.  A "last" node (``_last_layer_rule``) counts as the
@@ -465,70 +450,64 @@ def _collect_leaves(
     level M classes appear in the order the digit-lexicographic walk first
     meets them.
 
-    A level L < M is read off the same tree.  Its leaves shallower than L
-    and its nodes at depth exactly L partition Z_p^n, and each of these
-    cells is P1 or P2 at L, since G mod p**L is G reduced further:
-    - a P1 leaf at depth k <= L is P1 at L, with its constant class;
-    - a P2 leaf at depth k <= L has no nonlinear terms mod p**M, so it is
-      P1 at L exactly when all its linear coefficients vanish mod p**L,
-      and otherwise cancels (at k = L they are multiples of p**L);
-    - a node at depth exactly L is P1 at L: its coefficients of degree d
-      are multiples of p**(L*d);
-    - the children of a "last" node at depth k < L are leaves at depth
-      k + 1 <= L, resolved by ``_last_layer`` at p**L.
-    So the counts at L are those of the level-L walk, up to the order of
-    the classes and complete character sums that cancel: the reduced
-    histograms are equal.
+    At each level L, G mod p**L is G reduced further, and the tree's leaves
+    at depth k <= L, walked or children of "last" nodes, with its nodes at
+    depth exactly L partition Z_p^n.  A leaf has no nonlinear terms mod
+    p**M: it is P1 at L exactly when p**L divides its content, the gcd of
+    its linear coefficients (0 for a P1 leaf), and then adds its constant
+    class mod p**L with weight p**((L-k)*n).  A node at depth exactly L is
+    P1 at L (its coefficients of degree d are multiples of p**(L*d)) and is
+    counted there alone.  So the counts at L reduce to the histogram of the
+    level-L walk.  Level M's modulus is ``mod`` itself, and a one-level
+    walk does not read a P2 leaf's content: the leaf cancels at M.
     """
-    counts: dict[int, int] = {}  # at level M
-    shallow = [(level, p**level, {}) for level in levels[:-1]] if len(levels) > 1 else []
-    top = levels[-1]
-    stats = PruneStats()
+    tiers, tallies = [], []  # (L, p**L, the tally at L) for each level L; M's modulus is ``mod``
+    for level in levels:
+        tallies.append({})
+        tiers.append((level, p**level if level < levels[-1] else mod, tallies[-1]))
+    p1 = p2 = splits = leaves = 0
     width = p**n
     rule = _last_layer_rule(max(mod // (p * p), 1))
     for k, (poly,), kind, terms in descend_cosets((g,), mod, n, p, rule, budget):
         if kind is None or kind == "last":
-            stats.splits += 1
-            if 1 + stats.splits * width > budget:
+            splits += 1
+            if 1 + splits * width > budget:
                 raise BudgetExceededError(None, budget, what="coset nodes")
-            if shallow:
-                below = [tier for tier in shallow if tier[0] >= k]
-                if below and below[0][0] == k:  # a node at depth exactly L
-                    _, modulus, tally = below.pop(0)
-                    cls = terms.constant(poly) % modulus
-                    tally[cls] = tally.get(cls, 0) + 1
+            if k in levels:  # a node at depth exactly L
+                _, modulus, tally = tiers[levels.index(k)]
+                cls = terms.constant(poly) % modulus
+                tally[cls] = tally.get(cls, 0) + 1
             if kind == "last":
-                if shallow:
-                    classes, found = _last_layer(poly, terms, n, p, mod, [tier[1] for tier in below])
-                    for (level, _, tally), found_at in zip(below, found):
-                        weight = p ** ((level - k - 1) * n)
-                        for cls in found_at:
+                i = bisect_right(levels, k)  # the first level its children count at
+                cells = _last_layer(poly, terms, n, p, mod, tiers[i][1])
+                for level, modulus, tally in tiers[i:]:
+                    weight = p ** ((level - k - 1) * n)
+                    hits = 0
+                    for value, content in cells:
+                        if not content % modulus:
+                            cls = value % modulus
                             tally[cls] = tally.get(cls, 0) + weight
-                else:
-                    classes, _ = _last_layer(poly, terms, n, p, mod)
-                weight = p ** ((top - k - 1) * n)
-                for cls in classes:
-                    counts[cls] = counts.get(cls, 0) + weight
-                stats.leaves += width
-                stats.p1 += len(classes)
-                stats.p2 += width - len(classes)
+                            hits += 1
+                leaves += width
+                p1 += hits  # the P1 children at the last level, M
+                p2 += width - hits
             continue
-        stats.leaves += 1
+        leaves += 1
         if kind == "p2":
-            stats.p2 += 1
-            if not shallow:
+            p2 += 1
+            if len(tiers) == 1:  # a one-level walk: it cancels at M
                 continue
             content = gcd(*(c for code, c in poly.items() if code))  # of the linear terms
         else:
-            stats.p1 += 1
+            p1 += 1
             content = 0
-            cls = terms.constant(poly) % mod
-            counts[cls] = counts.get(cls, 0) + p ** ((top - k) * n)
-        for level, modulus, tally in shallow:
-            if level >= k and not content % modulus:
-                cls = terms.constant(poly) % modulus
-                tally[cls] = tally.get(cls, 0) + p ** ((level - k) * n)
-    return [tier[2] for tier in shallow] + [counts] if shallow else [counts], stats
+        constant = terms.constant(poly)
+        for level, modulus, tally in tiers[bisect_left(levels, k):]:
+            if content % modulus:  # and at every deeper level
+                break
+            cls = constant % modulus
+            tally[cls] = tally.get(cls, 0) + p ** ((level - k) * n)
+    return tallies, PruneStats(p1, p2, splits, leaves)
 
 
 def _naive_counts(
@@ -824,7 +803,7 @@ class Window:
         """E(1 / p**m), reduced, for a one-component map; every level's is
         found at the first call, from one walk per ball and group."""
         if self._bases is None:
-            p, n, budget = self.ctx.p, self.f.n, self.ctx.naive_budget
+            p, n, budget, plans = self.ctx.p, self.f.n, self.ctx.naive_budget, self._plans
             top = self.levels[-1]
             totals = [PhaseHistogram.zero(p)] * len(self.levels)
             balls = self.balls()
@@ -832,7 +811,7 @@ class Window:
                 for level, mod, images, weight in balls:
                     levels = tuple(m0 + level - top for m0 in self.levels)
                     g = _combination((1,), images, mod)
-                    means, _ = _split_walk(g, levels, mod, n, p, budget)
+                    means, _ = _split_walk(g, levels, mod, n, p, budget, plans[frozenset(g)])
                     totals = [total + mean.scaled(weight) for total, mean in zip(totals, means)]
             except BudgetExceededError:
                 for m0 in self.levels[:-1]:  # raises what the levels meet first

@@ -5,7 +5,7 @@ import time
 import types
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -17,9 +17,11 @@ from padicsums.expsum import (
     PruneStats,
     _classify,
     _collect_leaves,
+    _last_layer,
     _last_layer_rule,
     _naive_counts,
     _split_walk,
+    _Splitter,
     descend_cosets,
     eval_naive,
     eval_recursive,
@@ -478,6 +480,50 @@ def test_last_layer_matches_the_split_walk():
     assert sum(flat for *_, flat in seen) >= 10  # resolved splits with P1 children
 
 
+def test_last_layer_returns_the_children_p1_at_the_least_modulus():
+    """``_last_layer`` at a modulus ``least`` dividing p**M returns, in
+    digit-lexicographic order, the constant and the content (the gcd of the
+    linear coefficients) of each child that ``_Splitter`` builds whose
+    linear coefficients all vanish mod ``least``, and no child with a linear
+    coefficient that is nonzero mod ``least``."""
+    rng = random.Random(127)
+    seen = Counter()
+    for _ in range(300):
+        p, n, level = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 4)
+        mod = p**level
+        g = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = tuple(rng.choice((0, 0, 1, 2, 3, p)) for _ in range(n))
+            g[exp] = (g.get(exp, 0) + rng.randrange(1, 3 * p) * p ** rng.randint(0, 2)) % mod
+        g = {exp: c for exp, c in g.items() if c}
+        rule = _last_layer_rule(max(mod // p**2, 1))
+        try:
+            walk = list(descend_cosets((g,), mod, n, p, rule, 2_000))
+        except BudgetExceededError:
+            continue
+        nodes = [(k, poly, terms) for k, (poly,), kind, terms in walk if kind == "last"]
+        for k, poly, terms in nodes[:6]:
+            children = _Splitter(terms, p, mod).children((poly,))
+            for least in (p**e for e in range(k + 1, level + 1)):
+                expected = []
+                for (child,) in children:
+                    assert all(terms.degree[code] <= 1 for code in child), (g, mod, poly)
+                    linear = [c for code, c in child.items() if code]
+                    if all(c % least == 0 for c in linear):  # P1 at ``least``
+                        expected.append((terms.constant(child), gcd(*linear)))
+                cells = _last_layer(poly, terms, n, p, mod, least)
+                assert cells == expected, (g, mod, poly, least)
+                kind = "below" if least < mod else "at"
+                seen[p, n, kind] += 1
+                seen[kind, "returned"] += bool(cells)
+                seen[kind, "dropped"] += len(cells) < len(children)
+                seen["content not 0"] += any(content for _, content in cells)
+    kinds = ("below", "at")
+    assert all(seen[p, n, kind] for p in (2, 3, 5) for n in (1, 2, 3) for kind in kinds), seen
+    assert min(seen[kind, what] for kind in kinds for what in ("returned", "dropped")) >= 40, seen
+    assert seen["content not 0"] >= 100, seen
+
+
 def make_images_instance(rng):
     """Random request for the integer-image path: p in {2, 3, 5}, n <= 3,
     r <= 3, at most three monomials of total degree <= 3 per component
@@ -692,6 +738,37 @@ def test_window_levels_are_read_off_the_deepest_tree():
             covered.add((p, n))
     assert seen["levels"] >= 600 and seen["nonzero"] >= 400 and seen["read off a different tree"] >= 100, seen
     assert covered >= {(p, n) for p in (2, 3, 5, 7) for n in (1, 2)} | {(2, 3)}, covered
+
+
+@pytest.mark.parametrize(
+    "text, top, corner",
+    [
+        ("x1^2", 4, (1, "last")),  # a "last" node at depth exactly L = 1
+        ("3*x1", 3, (0, "p2")),  # a P2 root at M = 3 whose content 3 makes it P1 at L = 1
+    ],
+    ids=("x1^2", "3*x1"),
+)
+def test_window_read_off_corners(text, top, corner):
+    """At each level of the window, the histogram read off the deepest tree
+    equals the one-level walk's and eval_naive's, and the window's stats are
+    those of the deepest level's walk."""
+    p, n = 3, 1
+    f = parse_polymap(text, n)
+    g = {exp: int(c) for exp, c in f.components[0].items()}
+    levels, mod = tuple(range(1, top + 1)), p**top
+    rule = _last_layer_rule(max(mod // p**2, 1))
+    assert corner in {(k, kind) for k, _, kind, _ in descend_cosets((g,), mod, n, p, rule, 100)}
+    counts, stats = _collect_leaves(g, levels, mod, n, p, 10**4)
+    for level, at in zip(levels, counts):
+        low = p**level
+        (alone,), alone_stats = _collect_leaves(
+            {exp: c % low for exp, c in g.items() if c % low}, (level,), low, n, p, 10**4
+        )
+        scale = Fraction(p) ** (-level * n)
+        got = PhaseHistogram(p, level, at, scale).reduced()
+        naive = eval_naive(EvalRequest.of(f, [Fraction(1, low)], PrimeContext(p))).histogram
+        assert got == PhaseHistogram(p, level, alone, scale).reduced() == naive.reduced(), level
+    assert stats == alone_stats  # of the deepest level
 
 
 def _joint_walk(req, budget):
