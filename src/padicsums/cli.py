@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     MAX_DIGITS,
@@ -145,54 +145,41 @@ def parse_strategy(text: str, seed: int):
     raise ParseError(f"bad strategy {text!r}; expected 'exhaustive' or 'sample:N'")
 
 
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything needed to reproduce a run (worker count excluded: it never
     affects results).  A command echoes the defaults for the fields of the
     flags it does not take."""
 
-    __slots__ = ("command", "prime", "map_text", "budget", "phi", "y", "level", "levels",
-                 "strategy", "seed", "epsilon", "format", "method")
-
-    def __init__(self, command: str, prime: int, map_text: str, budget: int,
-                 phi: list | None = None, y: tuple[str, ...] | None = None,
-                 level: int | None = None, levels: tuple[int, int] | None = None,
-                 strategy: str = "exhaustive", seed: int = 0,
-                 epsilon: float = DEFAULT_EPSILON, format: str = "json",
-                 method: str = "recursive"):
-        self.command = command
-        self.prime = prime
-        self.map_text = map_text
-        self.budget = budget
-        self.phi = phi
-        self.y = y
-        self.level = level
-        self.levels = levels
-        self.strategy = strategy
-        self.seed = seed
-        self.epsilon = epsilon
-        self.format = format
-        self.method = method
+    command: str
+    prime: int
+    map_text: str
+    budget: int
+    phi: list | None = None
+    y: tuple[str, ...] | None = None
+    level: int | None = None
+    levels: tuple[int, int] | None = None
+    strategy: str = "exhaustive"
+    seed: int = 0
+    epsilon: float = DEFAULT_EPSILON
+    format: str = "json"
+    method: str = "recursive"
 
     def to_json_dict(self) -> dict:
         return {
             "map" if k == "map_text" else k: list(v) if isinstance(v, tuple) else v
-            for k, v in ((k, getattr(self, k)) for k in self.__slots__)
+            for k, v in self._asdict().items()
         }
 
 
-class _Run:
+class _Run(NamedTuple):
     """A command's parsed inputs (defaults for the flags it does not take)."""
 
-    __slots__ = ("config", "f", "phi", "ctx", "y", "strategy")
-
-    def __init__(self, config: RunConfig, f: PolyMap, phi: SchwartzBruhat, ctx: PrimeContext,
-                 y: tuple[Fraction, ...] | None, strategy: str | tuple[str, int, int] | None):
-        self.config = config
-        self.f = f
-        self.phi = phi
-        self.ctx = ctx
-        self.y = y
-        self.strategy = strategy
+    config: RunConfig
+    f: PolyMap
+    phi: SchwartzBruhat
+    ctx: PrimeContext
+    y: tuple[Fraction, ...] | None
+    strategy: str | tuple[str, int, int] | None
 
 
 def _load_map_text(args) -> str:

@@ -24,11 +24,11 @@ import random
 import statistics
 import weakref
 from fractions import Fraction
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import MAX_DIGITS, BudgetExceededError, ExactVanishingError, FitError
 from .expsum import Window, eval_unit_directions, primitive_directions
-from .padic import DEFAULT_EPSILON, INFINITY, PhaseHistogram, PrimeContext, Value, power_exceeds
+from .padic import DEFAULT_EPSILON, INFINITY, PhaseHistogram, PrimeContext, power_exceeds
 from .polymap import DegreeData, PolyMap, SchwartzBruhat, check_affine_independence, degree_data
 
 #: Histograms with more stored classes than this skip the exact |E|**2 path.
@@ -37,21 +37,17 @@ ABS_SQUARE_CLASS_LIMIT = 64
 Strategy = str | tuple[str, int, int]
 
 
-class DecayRecord(Value):
+class DecayRecord(NamedTuple):
     """Largest |E| over directions of norm p**m, with the achieving direction,
     and the exact |E|**2 when it is rational."""
 
-    __slots__ = ("level", "sup", "sup_error", "argmax", "exhaustive", "exact_zero", "sup_square")
-
-    def __init__(self, level: int, sup: float, sup_error: float, argmax: tuple[int, ...] | None,
-                 exhaustive: bool, exact_zero: bool, sup_square: Fraction | None = None):
-        self.level = level
-        self.sup = sup
-        self.sup_error = sup_error
-        self.argmax = argmax
-        self.exhaustive = exhaustive
-        self.exact_zero = exact_zero
-        self.sup_square = sup_square
+    level: int
+    sup: float
+    sup_error: float
+    argmax: tuple[int, ...] | None
+    exhaustive: bool
+    exact_zero: bool
+    sup_square: Fraction | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,20 +61,14 @@ class DecayRecord(Value):
         }
 
 
-class FitResult:
-    __slots__ = ("alpha_hat", "intercept", "residual", "bound_exponent", "c_hat",
-                 "c_hat_square", "zero_levels")
-
-    def __init__(self, alpha_hat: float, intercept: float, residual: float,
-                 bound_exponent: float | None, c_hat: float, c_hat_square: Fraction | None,
-                 zero_levels: list[int]):
-        self.alpha_hat = alpha_hat
-        self.intercept = intercept
-        self.residual = residual
-        self.bound_exponent = bound_exponent  # -1/d(f)
-        self.c_hat = c_hat
-        self.c_hat_square = c_hat_square
-        self.zero_levels = zero_levels
+class FitResult(NamedTuple):
+    alpha_hat: float
+    intercept: float
+    residual: float
+    bound_exponent: float | None  # -1/d(f)
+    c_hat: float
+    c_hat_square: Fraction | None
+    zero_levels: list[int]
 
 
 def primitive_direction_count(p: int, m: int, r: int) -> int:
@@ -293,26 +283,20 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-class DecayReport:
+class DecayReport(NamedTuple):
     """Per-level envelope ratios, the exponent fit (or why there is none)
     and the exponent-consistency verdict."""
 
-    __slots__ = ("hypothesis_ok", "d_max", "e_orders", "epsilon", "bound_exponent", "ratios",
-                 "verdict", "notes", "fit", "fit_error")
-
-    def __init__(self, hypothesis_ok: bool, d_max: int, e_orders: tuple[float | int, ...],
-                 epsilon: float, bound_exponent: float | None, ratios: list[tuple[int, float]],
-                 verdict: str, notes: list[str], fit: FitResult | None, fit_error: str | None):
-        self.hypothesis_ok = hypothesis_ok
-        self.d_max = d_max
-        self.e_orders = e_orders
-        self.epsilon = epsilon
-        self.bound_exponent = bound_exponent
-        self.ratios = ratios
-        self.verdict = verdict
-        self.notes = notes
-        self.fit = fit
-        self.fit_error = fit_error  # the FitError text when ``fit`` is None
+    hypothesis_ok: bool
+    d_max: int
+    e_orders: tuple[float | int, ...]
+    epsilon: float
+    bound_exponent: float | None
+    ratios: list[tuple[int, float]]
+    verdict: str
+    notes: list[str]
+    fit: FitResult | None
+    fit_error: str | None  # the FitError text when ``fit`` is None
 
     @property
     def alpha_hat(self) -> float | None:

@@ -89,14 +89,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from operator import add, mul
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
 from .padic import (
     PhaseHistogram,
     PrimeContext,
     Rational,
-    Value,
     clearing_exponent,
     residue,
     valuation,
@@ -114,32 +113,22 @@ from .polymap import (
 )
 
 
-class PruneStats(Value):
+class PruneStats(NamedTuple):
     """Work accounting: prune hits and splits for the recursive evaluator,
     summed over the walks of every variable group of every ball, and the
     enumerated point count for the naive one."""
 
-    __slots__ = ("p1", "p2", "splits", "leaves", "points")
-
-    def __init__(self, p1: int = 0, p2: int = 0, splits: int = 0, leaves: int = 0,
-                 points: int = 0):
-        self.p1 = p1
-        self.p2 = p2
-        self.splits = splits
-        self.leaves = leaves
-        self.points = points
+    p1: int = 0
+    p2: int = 0
+    splits: int = 0
+    leaves: int = 0
+    points: int = 0
 
     def __add__(self, other: "PruneStats") -> "PruneStats":
-        return PruneStats(
-            self.p1 + other.p1,
-            self.p2 + other.p2,
-            self.splits + other.splits,
-            self.leaves + other.leaves,
-            self.points + other.points,
-        )
+        return PruneStats(*map(add, self, other))
 
     def to_json_dict(self) -> dict:
-        return self._fields()
+        return self._asdict()
 
 
 class EvalRequest:
@@ -174,12 +163,9 @@ class EvalRequest:
         )
 
 
-class EvalResult:
-    __slots__ = ("histogram", "stats")
-
-    def __init__(self, histogram: PhaseHistogram, stats: PruneStats):
-        self.histogram = histogram
-        self.stats = stats
+class EvalResult(NamedTuple):
+    histogram: PhaseHistogram
+    stats: PruneStats
 
 
 # ------------------------------------------------------------- coset descent

@@ -144,8 +144,10 @@ def power_exceeds(p: int, e: int, bound: int) -> bool:
 
 
 class Value:
-    """Equality and repr by the fields in ``__slots__``, for the classes
-    whose instances are compared.  Unhashable, like their mutable fields."""
+    """Equality and repr by the fields in ``__slots__``, for
+    ``PhaseHistogram`` and ``PolyMap``: classes that a ``typing.NamedTuple``
+    cannot be, because the one is held by weak reference and the other
+    checks its input in ``__init__``.  Unhashable, like their dict fields."""
 
     __slots__ = ()
 

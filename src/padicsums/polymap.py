@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     MAX_DIGITS,
@@ -267,17 +267,13 @@ class PolyMap(Value):
         return len(self.components)
 
 
-class DegreeData:
+class DegreeData(NamedTuple):
     """Per-variable degrees d[i][j], their max d(f), and the coefficient
     orders e(f_i) = min valuation over coefficients of f_i - f_i(0)."""
 
-    __slots__ = ("per_variable", "d_max", "e_orders")
-
-    def __init__(self, per_variable: tuple[tuple[int, ...], ...], d_max: int,
-                 e_orders: tuple[int | float, ...]):
-        self.per_variable = per_variable
-        self.d_max = d_max
-        self.e_orders = e_orders
+    per_variable: tuple[tuple[int, ...], ...]
+    d_max: int
+    e_orders: tuple[int | float, ...]
 
 
 def degree_data(f: PolyMap, p: int) -> DegreeData:
@@ -493,7 +489,7 @@ def infer_variable_count(text: str) -> int:
 # ------------------------------------------------------------- series and phi
 
 
-class RestrictedSeries:
+class RestrictedSeries(NamedTuple):
     """A power series on the unit polydisc given by a coefficient oracle.
 
     ``valuation_floor(d)`` must be a nondecreasing certified lower bound on
@@ -502,13 +498,9 @@ class RestrictedSeries:
     coefficient the oracle emits.
     """
 
-    __slots__ = ("n", "coefficient", "valuation_floor")
-
-    def __init__(self, n: int, coefficient: Callable[[Exponent], Rational],
-                 valuation_floor: Callable[[int], int | float]):
-        self.n = n
-        self.coefficient = coefficient
-        self.valuation_floor = valuation_floor
+    n: int
+    coefficient: Callable[[Exponent], Rational]
+    valuation_floor: Callable[[int], int | float]
 
     @classmethod
     def from_poly(cls, n: int, poly: Poly, p: int) -> "RestrictedSeries":
@@ -575,15 +567,12 @@ def series_truncate(s: RestrictedSeries, m: int, p: int) -> Poly:
     return out
 
 
-class BallTerm(Value):
+class BallTerm(NamedTuple):
     """weight times the indicator of center + p**k Z_p^n."""
 
-    __slots__ = ("center", "k", "weight")
-
-    def __init__(self, center: tuple[Fraction, ...], k: int, weight: Fraction):
-        self.center = center
-        self.k = k
-        self.weight = weight
+    center: tuple[Fraction, ...]
+    k: int
+    weight: Fraction
 
 
 class SchwartzBruhat:
@@ -624,14 +613,22 @@ class SchwartzBruhat:
 
     @classmethod
     def from_json_list(cls, data: list, n: int) -> "SchwartzBruhat":
-        terms = tuple(
-            BallTerm(
-                tuple(Fraction(c) for c in d["center"]),
-                int(d["k"]),
-                Fraction(d["weight"]),
-            )
-            for d in data
-        )
+        """phi from JSON.  Centre entries and weights are strings or integers
+        and ``k`` is an integer: a float or a boolean would be read inexactly."""
+        terms = []
+        for d in data:
+            if not isinstance(d, dict) or not isinstance(d["center"], list):
+                raise TypeError("each ball must be an object whose center is a list")
+            center = tuple(Fraction(_json_value(c, str, int)) for c in d["center"])
+            weight = Fraction(_json_value(d["weight"], str, int))
+            terms.append(BallTerm(center, _json_value(d["k"], int), weight))
         if not terms:
             raise ValueError("phi needs at least one ball term")
-        return cls(n, terms)
+        return cls(n, tuple(terms))
+
+
+def _json_value(v, *kinds: type):
+    """``v`` when it is one of ``kinds``; a boolean is not an integer here."""
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, not {v!r}")
+    return v

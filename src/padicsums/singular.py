@@ -17,7 +17,7 @@ import csv
 import itertools
 from fractions import Fraction
 from functools import partial
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .errors import BudgetExceededError, PreconditionError
 from .expsum import EvalRequest, Terms, descend_cosets, eval_naive
@@ -47,7 +47,7 @@ FiberKey = tuple[Fraction, ...] | tuple[int, ...]
 PREIMAGE_SAMPLE_LIMIT = 16
 
 
-class DensityTable:
+class DensityTable(NamedTuple):
     """Exact fiber counts N_m(z) for z in (Z/p**m)^r.
 
     ``clear`` is the denominator exponent B of the map: counts are taken at
@@ -55,16 +55,12 @@ class DensityTable:
     B = 0, by Fractions with denominator p**B otherwise.
     """
 
-    __slots__ = ("p", "level", "n", "r", "clear", "counts")
-
-    def __init__(self, p: int, level: int, n: int, r: int, clear: int,
-                 counts: dict[FiberKey, int]):
-        self.p = p
-        self.level = level
-        self.n = n
-        self.r = r
-        self.clear = clear
-        self.counts = counts
+    p: int
+    level: int
+    n: int
+    r: int
+    clear: int
+    counts: dict[FiberKey, int]
 
     def count(self, z: Sequence[Rational]) -> int:
         key = self._key(z)
@@ -290,25 +286,19 @@ def fourier_check(
     return direct + synth.scaled(-1)
 
 
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Density trace F_m(z) across a level window plus Jacobian-rank evidence
     gathered at sampled preimages of the top level."""
 
-    __slots__ = ("z", "levels", "f_values", "stable", "stable_from", "preimage_count",
-                 "sampled_preimages", "ranks", "full_rank")
-
-    def __init__(self, z: tuple[int, ...], levels: list[int], f_values: list[Fraction],
-                 stable: bool, stable_from: int | None, preimage_count: int,
-                 sampled_preimages: list[tuple[int, ...]], ranks: list[int], full_rank: bool):
-        self.z = z
-        self.levels = levels
-        self.f_values = f_values
-        self.stable = stable
-        self.stable_from = stable_from
-        self.preimage_count = preimage_count
-        self.sampled_preimages = sampled_preimages
-        self.ranks = ranks
-        self.full_rank = full_rank
+    z: tuple[int, ...]
+    levels: list[int]
+    f_values: list[Fraction]
+    stable: bool
+    stable_from: int | None
+    preimage_count: int
+    sampled_preimages: list[tuple[int, ...]]
+    ranks: list[int]
+    full_rank: bool
 
 
 def stabilization_probe(
@@ -317,7 +307,8 @@ def stabilization_probe(
     m_range: tuple[int, int],
     ctx: PrimeContext,
 ) -> StabilizationReport:
-    """Track F_m(z) over [m0, m1] and flag whether it stabilizes.
+    """Track F_m(z) over [m0, m1] and flag whether it stabilizes.  Each
+    coordinate of z must be an integer (an int or an integral Fraction).
 
     Full Jacobian rank at every preimage is the computational signature of a
     regular value, for which the density is expected to become constant in m.
@@ -327,7 +318,10 @@ def stabilization_probe(
     m0, m1 = m_range
     if not (1 <= m0 <= m1):
         raise PreconditionError("need 1 <= m0 <= m1")
-    zt = tuple(int(c) for c in z)
+    zt = tuple(map(Fraction, z))
+    if any(c.denominator != 1 for c in zt):
+        raise ValueError(f"target coordinates must be integers, not {z!r}")
+    zt = tuple(c.numerator for c in zt)
     if len(zt) != f.r:
         raise ValueError("target arity must equal component count")
     levels = list(range(m0, m1 + 1))

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import inspect
 import io
 import json
 import os
@@ -19,13 +20,18 @@ from padicsums.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     MAX_BALL_EXPONENT,
+    RunConfig,
+    _Run,
     main,
     parse_rational,
     parse_y_vector,
 )
+from padicsums.decay import DecayRecord, DecayReport, FitResult
 from padicsums.errors import MAX_DIGITS
+from padicsums.expsum import EvalResult, PruneStats
 from padicsums.padic import DEFAULT_NAIVE_BUDGET, PRIMALITY_BOUND
-from padicsums.polymap import MAX_TERMS
+from padicsums.polymap import MAX_TERMS, BallTerm, DegreeData, RestrictedSeries
+from padicsums.singular import DensityTable, StabilizationReport
 
 
 def run(capsys, *argv):
@@ -316,6 +322,33 @@ def test_phi_flag(capsys):
     payload = json.loads(out)
     # on the sub-ball 3 Z_3 the linear phase x/3 is constant 0: measure 1/3
     assert abs(payload["magnitude"] - 1 / 3) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "ball, refused",
+    [
+        # each used to exit 0: k read as 1, the centre as (1, 2), the weight
+        # as 3602879701896397/36028797018963968
+        ('"center": ["0", "0"], "k": 1.9, "weight": "1"', "expected int, not 1.9"),
+        ('"center": ["0", "0"], "k": true, "weight": "1"', "expected int, not True"),
+        ('"center": "12", "k": 0, "weight": "1"', "each ball must be an object whose center is a list"),
+        ('"center": ["0", "0"], "k": 0, "weight": 0.1', "expected str or int, not 0.1"),
+    ],
+    ids=["k-float", "k-bool", "center-string", "weight-float"],
+)
+def test_phi_refuses_floats_booleans_and_a_string_centre(capsys, ball, refused):
+    argv = ["eval", "--prime", "3", "--map", "x1+x2", "--y", "1/3", "--phi", "[{%s}]" % ball]
+    assert run(capsys, *argv) == (EXIT_PARSE, "", f"error: bad phi spec: {refused}\n")
+
+
+def test_phi_reads_strings_and_integers_exactly(capsys):
+    phi = '[{"center": [0, "1/3"], "k": 1, "weight": "0.1"}, {"center": ["0", 1], "k": 0, "weight": 2}]'
+    code, out, _ = run(capsys, "eval", "--prime", "3", "--map", "x1+x2", "--y", "1/3", "--phi", phi)
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["phi"] == [
+        {"center": ["0", "1/3"], "k": 1, "weight": "1/10"},
+        {"center": ["0", "1"], "k": 0, "weight": "2"},
+    ]
 
 
 def test_exit_code_5_is_never_expected():
@@ -808,3 +841,21 @@ def test_numbers_too_long_to_print(capsys, argv, code, message):
     got, out, err = run(capsys, *argv, "--budget", "10")
     assert got == code
     assert out == "" and err == f"error: {message}\n"
+
+
+RECORDS = [RunConfig, _Run, DecayRecord, FitResult, DecayReport, PruneStats, EvalResult,
+           DegreeData, RestrictedSeries, BallTerm, DensityTable, StabilizationReport]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_records_are_immutable_and_compare_by_fields(record):
+    names = list(inspect.signature(record).parameters)
+    values = [f"{name}-value" for name in names]
+    rec = record(*values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    assert [getattr(rec, name) for name in names] == values
+    assert rec == record(*values) and rec != record(*values[:-1], "other")
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(rec) == f"{record.__name__}({fields})"

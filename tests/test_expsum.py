@@ -418,19 +418,19 @@ def test_coset_walk_is_pinned_node_by_node():
 def _reference_leaves(g, level, mod, n, p):
     """``_collect_leaves`` from ``_reference_walk`` with ``_classify``: every
     node the rule does not prune is split and its children built."""
-    counts, stats = {}, PruneStats()
+    counts, p1, p2, splits, leaves = {}, 0, 0, 0, 0
     for k, (poly,), kind in _reference_walk((g,), mod, n, p, _classify):
         if kind is None:
-            stats.splits += 1
+            splits += 1
             continue
-        stats.leaves += 1
+        leaves += 1
         if kind == "p2":
-            stats.p2 += 1
+            p2 += 1
             continue
-        stats.p1 += 1
+        p1 += 1
         cls = poly.get((0,) * n, 0) % mod
         counts[cls] = counts.get(cls, 0) + p ** ((level - k) * n)
-    return counts, stats
+    return counts, PruneStats(p1, p2, splits, leaves)
 
 
 def _random_leaf_instance(rng):

@@ -205,6 +205,20 @@ def test_stabilization_identity():
     assert rep.full_rank
 
 
+@pytest.mark.parametrize("z", [[Fraction(1, 2)], [1.9]])
+def test_stabilization_refuses_a_target_that_is_not_integral(z):
+    # each used to be truncated: 1/2 probed z = 0 (F = 1, 3, 3, though 1/2 = 2
+    # is no square mod 3) and 1.9 probed z = 1
+    with pytest.raises(ValueError, match="target coordinates must be integers"):
+        stabilization_probe(parse_polymap("x1^2", 1), z, (1, 3), PrimeContext(3))
+
+
+def test_stabilization_accepts_an_integral_fraction():
+    rep = stabilization_probe(parse_polymap("x1^2", 1), [Fraction(4, 4)], (1, 3), PrimeContext(3))
+    assert rep.z == (1,) and type(rep.z[0]) is int
+    assert rep.f_values == [Fraction(2)] * 3
+
+
 def test_density_csv_and_json():
     ctx = PrimeContext(3)
     f = parse_polymap("x1^2", 1)
